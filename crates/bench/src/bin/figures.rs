@@ -7,46 +7,39 @@
 //! cargo run --release -p custody-bench --bin figures -- --jobs 10 --seed 7 fig10
 //! ```
 //!
-//! Targets: `fig7`, `fig7-fixed`, `fig8`, `fig9`, `fig10`, `ablations`,
-//! `chaos`, `partition`, `durability`, `detector`, `failslow`,
-//! `demotion`, `theory`, `all`.
+//! Targets: `fig7` (which includes `fig7-fixed`), `fig8`, `fig9`,
+//! `fig10`, then every entry of [`custody_bench::STUDIES`], and `all`.
 
+use custody_bench::cli::Args;
 use custody_bench::{
-    ablation_delay_table, ablation_inter_table, ablation_intra_table, ablation_placement_table,
-    ablation_speculation_table, allocator_cost_summary, chaos_table, demotion_table,
-    detector_table, durability_table, failslow_table, fig10_table, fig7_fixed_quota_table,
-    fig7_table, fig8_table, fig9_table, partition_table, run_sweep, theory_quality_table,
-    FigureOptions,
+    fig10_table, fig7_table, fig8_table, fig9_table, paper_scenario, FigureOptions, STUDIES,
 };
 
+const USAGE: &str = "usage: figures [--quick] [--jobs <n>] [--seed <n>] [<target>...]
+targets: fig7 fig7-fixed fig8 fig9 fig10 ablations chaos partition durability
+         detector failslow demotion theory all (default: all)";
+
+/// The figures drawn from the shared Figs. 7–10 sweep.
+const PAPER: [&str; 4] = ["fig7", "fig8", "fig9", "fig10"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = Args::from_env(USAGE);
     let mut opts = FigureOptions::default();
     let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
             "--quick" => opts = FigureOptions::quick(),
-            "--jobs" => {
-                opts.jobs_per_app = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs requires a number");
+            "--jobs" => opts.jobs_per_app = args.parse("--jobs"),
+            "--seed" => opts.seed = args.parse("--seed"),
+            t if t == "all" || PAPER.contains(&t) || STUDIES.iter().any(|(s, _)| *s == t) => {
+                targets.push(a)
             }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires a number");
-            }
-            other => targets.push(other.to_string()),
+            other => args.fail(&format!("unknown target or flag {other:?}")),
         }
     }
-    if targets.is_empty() {
-        targets.push("all".into());
-    }
-    let all = targets.iter().any(|t| t == "all");
-    let wants = |t: &str| all || targets.iter().any(|x| x == t);
+    let named = |t: &str| targets.iter().any(|x| x == t);
+    let all = targets.is_empty() || named("all");
+    let wants = |t: &str| all || named(t) || (t == "fig7-fixed" && named("fig7"));
 
     println!(
         "custody figures — jobs/app={} seed={} sizes={:?}\n",
@@ -54,51 +47,18 @@ fn main() {
     );
 
     // Figs 7–10 share one sweep.
-    if wants("fig7") || wants("fig8") || wants("fig9") || wants("fig10") {
-        let cells = run_sweep(&opts);
-        if wants("fig7") {
-            println!("{}", fig7_table(&cells));
+    if PAPER.iter().any(|t| wants(t)) {
+        let sweep = paper_scenario(&opts.sizes, opts.jobs_per_app, opts.seed).run();
+        let tables = [fig7_table(), fig8_table(), fig9_table(&opts), fig10_table()];
+        for (t, table) in PAPER.iter().zip(&tables) {
+            if wants(t) {
+                println!("{}", table.draw(&sweep));
+            }
         }
-        if wants("fig8") {
-            println!("{}", fig8_table(&cells));
+    }
+    for (t, study) in STUDIES {
+        if wants(t) {
+            println!("{}", study(&opts));
         }
-        if wants("fig9") {
-            println!("{}", fig9_table(&cells));
-        }
-        if wants("fig10") {
-            println!("{}", fig10_table(&cells));
-        }
-        println!("{}", allocator_cost_summary(&cells));
-    }
-    if wants("fig7-fixed") || wants("fig7") {
-        println!("{}", fig7_fixed_quota_table(&opts));
-    }
-    if wants("ablations") {
-        println!("{}", ablation_intra_table(&opts));
-        println!("{}", ablation_inter_table(&opts));
-        println!("{}", ablation_placement_table(&opts));
-        println!("{}", ablation_delay_table(&opts));
-        println!("{}", ablation_speculation_table(&opts));
-    }
-    if wants("chaos") {
-        println!("{}", chaos_table(&opts));
-    }
-    if wants("partition") {
-        println!("{}", partition_table(&opts));
-    }
-    if wants("durability") {
-        println!("{}", durability_table(&opts));
-    }
-    if wants("detector") {
-        println!("{}", detector_table(&opts));
-    }
-    if wants("failslow") {
-        println!("{}", failslow_table(&opts));
-    }
-    if wants("demotion") {
-        println!("{}", demotion_table(&opts));
-    }
-    if wants("theory") {
-        println!("{}", theory_quality_table(500, opts.seed));
     }
 }

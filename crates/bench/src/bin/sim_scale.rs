@@ -8,19 +8,22 @@
 //! application-count grid and reports, per cell: wall time of the whole
 //! run, the per-phase breakdown the driver now measures (allocator,
 //! event-queue pop, demand maintenance), allocation-round counts, and
-//! the process's peak RSS. A separate single-round microbench times the
+//! the process's peak RSS. A single-round microbench times the
 //! production Custody round against the scan-everything
-//! `reference_allocate` specification on an identical grant-heavy 10k
-//! view and asserts the required ≥5× speedup; the same view is also run
-//! with a sick-cluster health-cost table to bound the overhead of the
-//! soft-demotion multiplier path.
+//! `reference_allocate` specification on grant-heavy views of eight
+//! shapes (100–10,000 nodes × 4–64 applications), after checking that
+//! both return identical grants, with and without a sick-cluster
+//! health-cost table; the costed round's time bounds the overhead of the
+//! soft-demotion multiplier path. The production round must be at least
+//! 5× the reference at 10k nodes.
 //!
 //! Modes:
 //!
-//! * `--quick` (default) — {1k, 10k} × {4, 16, 64} grid, plus the 10k
-//!   microbench; writes `BENCH_scale.json` at the repository root.
+//! * `--quick` (default) — {1k, 10k} × {4, 16, 64} grid, plus the
+//!   microbench on every shape; writes `BENCH_scale.json` at the
+//!   repository root.
 //! * `--full` — adds the 100k × 64 cell (several minutes).
-//! * `--check` — CI smoke: one 2k × 16 cell plus the microbench,
+//! * `--check` — CI smoke: one 2k × 16 cell plus the 10k microbench,
 //!   compared against `crates/bench/scale_baseline.json`; exits
 //!   non-zero if any budgeted number regresses more than 5%, or if the
 //!   custody-vs-reference speedup falls below 5×. Writes no JSON.
@@ -28,12 +31,28 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use custody_bench::cli::Args;
 use custody_bench::{scale_config, synthetic_round_view};
 use custody_core::custody::{reference_allocate, reference_allocate_with_costs};
 use custody_core::{CustodyAllocator, ExecutorAllocator, HealthCost};
 use custody_dfs::NodeId;
 use custody_sim::{RunMetrics, Simulation};
 use custody_simcore::SimRng;
+
+const USAGE: &str = "usage: sim_scale [--quick|--full|--check]";
+
+/// The microbench's view shapes, (nodes, apps): small clusters through
+/// the end-to-end grid's 1k × 64 and 10k sizes.
+const ROUND_SHAPES: [(usize, usize); 8] = [
+    (100, 4),
+    (100, 16),
+    (500, 4),
+    (500, 16),
+    (1000, 4),
+    (1000, 16),
+    (1000, 64),
+    (10_000, 16),
+];
 
 /// One grid cell's measurements.
 struct Cell {
@@ -182,7 +201,7 @@ fn alloc_microbench(nodes: usize, apps: usize) -> MicroBench {
     b
 }
 
-fn write_json(cells: &[Cell], micro: &MicroBench, mode: &str) {
+fn write_json(cells: &[Cell], micro: &[MicroBench], mode: &str) {
     let mut out = String::from("{\n  \"bench\": \"sim_scale\",\n");
     let _ = writeln!(
         out,
@@ -216,20 +235,24 @@ fn write_json(cells: &[Cell], micro: &MicroBench, mode: &str) {
             if idx + 1 < cells.len() { "," } else { "" }
         );
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"alloc_round_10k\": {{ \"nodes\": {}, \"apps\": {}, \
-         \"custody_ns\": {}, \"reference_ns\": {}, \"speedup_custody_vs_reference\": {:.2}, \
-         \"costed_ns\": {}, \"cost_round_slowdown\": {:.3} }}",
-        micro.nodes,
-        micro.apps,
-        micro.custody_ns,
-        micro.reference_ns,
-        micro.speedup(),
-        micro.costed_ns,
-        micro.cost_slowdown()
-    );
+    out.push_str("  ],\n  \"alloc_round\": [\n");
+    for (idx, b) in micro.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    {{ \"nodes\": {}, \"apps\": {}, \"custody_ns\": {}, \"reference_ns\": {}, \
+             \"speedup_custody_vs_reference\": {:.2}, \"costed_ns\": {}, \
+             \"cost_round_slowdown\": {:.3} }}{}",
+            b.nodes,
+            b.apps,
+            b.custody_ns,
+            b.reference_ns,
+            b.speedup(),
+            b.costed_ns,
+            b.cost_slowdown(),
+            if idx + 1 < micro.len() { "," } else { "" }
+        );
+    }
+    out.push_str("  ]\n");
     out.push_str("}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     std::fs::write(path, &out).expect("write BENCH_scale.json");
@@ -310,7 +333,8 @@ fn check(micro: &MicroBench) {
 }
 
 fn main() {
-    let mode = std::env::args().nth(1).unwrap_or_else(|| "--quick".into());
+    let mut args = Args::from_env(USAGE);
+    let mode = args.next_arg().unwrap_or_else(|| "--quick".into());
     match mode.as_str() {
         "--check" => {
             let micro = alloc_microbench(10_000, 16);
@@ -327,14 +351,19 @@ fn main() {
             if full {
                 cells.push(run_cell(100_000, 64, 2));
             }
-            let micro = alloc_microbench(10_000, 16);
-            assert!(
-                micro.speedup() >= 5.0,
-                "custody round must be at least 5x the reference at 10k nodes, got {:.1}x",
-                micro.speedup()
-            );
+            let micro: Vec<MicroBench> = ROUND_SHAPES
+                .iter()
+                .map(|&(nodes, apps)| alloc_microbench(nodes, apps))
+                .collect();
+            for b in micro.iter().filter(|b| b.nodes == 10_000) {
+                assert!(
+                    b.speedup() >= 5.0,
+                    "custody round must be at least 5x the reference at 10k nodes, got {:.1}x",
+                    b.speedup()
+                );
+            }
             write_json(&cells, &micro, if full { "full" } else { "quick" });
         }
-        other => panic!("unknown mode {other:?} (--quick|--full|--check)"),
+        other => args.fail(&format!("unknown mode {other:?}")),
     }
 }

@@ -2,22 +2,14 @@
 //!
 //! ```text
 //! cargo run --release -p custody-bench --bin simulate -- \
-//!     --workload sort --nodes 50 --allocator custody --jobs 10 --seed 42 \
-//!     [--baseline spark-static] [--racks 4] [--placement rack-aware] \
-//!     [--quota 12] [--scheduler delay:3000|fifo|locality-first] \
-//!     [--fail 10:3] [--chaos <mtbf-secs>[:<downtime-secs>]] [--audit] \
-//!     [--detector <drop-prob>[:<suspicion-secs>]] [--checkpoint <secs>] \
-//!     [--master-crash <prob>] [--speculation] \
-//!     [--failslow <sick-fraction>[:<fault-prob>]] [--no-quarantine] \
-//!     [--partition <split-fraction>[:<mean-heal-secs>]] \
-//!     [--corruption <latent-fraction>[:<scrub-interval-secs>]] \
-//!     [--demotion soft|hard|off] [--retry-budget <n>] \
-//!     [--trace out.tsv] [--analyze]
+//!     --workload sort --nodes 50 --allocator custody --jobs 10 --seed 42
 //! ```
 //!
-//! With `--baseline <allocator>` the same configuration is run twice and
-//! the comparison printed; `--trace` writes the per-task TSV log.
+//! `--help` lists every flag. With `--baseline <allocator>` the same
+//! configuration is run twice and the comparison printed; `--trace`
+//! writes the per-task TSV log.
 
+use custody_bench::cli::Args;
 use custody_core::AllocatorKind;
 use custody_dfs::NodeId;
 use custody_scheduler::speculation::SpeculationConfig;
@@ -26,53 +18,76 @@ use custody_sim::report::summary_row;
 use custody_sim::{NodeFailure, PlacementKind, QuotaMode, SimConfig, Simulation, WorkloadKind};
 use custody_simcore::{SimDuration, SimTime};
 
-fn parse_workload(s: &str) -> WorkloadKind {
-    match s {
+const USAGE: &str = "usage: simulate [--workload pagerank|wordcount|sort|sqlscan|kmeans]
+    [--nodes <n>] [--allocator <allocator>] [--baseline <allocator>] [--jobs <n>]
+    [--seed <n>] [--racks <n>] [--placement random|round-robin|popularity|rack-aware]
+    [--quota <n>] [--scheduler delay[:<ms>]|fifo|locality-first] [--fail <secs>:<node>]
+    [--chaos <mtbf-secs>[:<downtime-secs>]] [--audit] [--speculation]
+    [--detector <drop-prob>[:<suspicion-secs>]] [--checkpoint <secs>] [--master-crash <prob>]
+    [--failslow <sick-fraction>[:<fault-prob>]] [--no-quarantine] [--retry-budget <n>]
+    [--demotion soft|hard|off] [--partition <split-fraction>[:<mean-heal-secs>]]
+    [--corruption <latent-fraction>[:<scrub-interval-secs>]] [--trace <out.tsv>] [--analyze]
+allocators: custody spark-static static-random dynamic-offer custody-fair-intra custody-naive-inter";
+
+fn parse_workload(args: &mut Args, flag: &str) -> WorkloadKind {
+    match args.value(flag).as_str() {
         "pagerank" => WorkloadKind::PageRank,
         "wordcount" => WorkloadKind::WordCount,
         "sort" => WorkloadKind::Sort,
         "sqlscan" => WorkloadKind::SqlScan,
         "kmeans" => WorkloadKind::KMeans,
-        other => panic!("unknown workload {other:?} (pagerank|wordcount|sort|sqlscan|kmeans)"),
+        other => args.fail(&format!("unknown workload {other:?}")),
     }
 }
 
-fn parse_allocator(s: &str) -> AllocatorKind {
-    match s {
+fn parse_allocator(args: &mut Args, flag: &str) -> AllocatorKind {
+    match args.value(flag).as_str() {
         "custody" => AllocatorKind::Custody,
         "spark-static" => AllocatorKind::StaticSpread,
         "static-random" => AllocatorKind::StaticRandom,
         "dynamic-offer" => AllocatorKind::DynamicOffer,
         "custody-fair-intra" => AllocatorKind::CustodyFairIntra,
         "custody-naive-inter" => AllocatorKind::CustodyNaiveInter,
-        other => panic!("unknown allocator {other:?}"),
+        other => args.fail(&format!("unknown allocator {other:?}")),
     }
 }
 
-fn parse_placement(s: &str) -> PlacementKind {
-    match s {
+fn parse_placement(args: &mut Args, flag: &str) -> PlacementKind {
+    match args.value(flag).as_str() {
         "random" => PlacementKind::Random,
         "round-robin" => PlacementKind::RoundRobin,
         "popularity" => PlacementKind::Popularity,
         "rack-aware" => PlacementKind::RackAware,
-        other => panic!("unknown placement {other:?}"),
+        other => args.fail(&format!("unknown placement {other:?}")),
     }
 }
 
-fn parse_scheduler(s: &str) -> SchedulerKind {
-    if let Some(ms) = s.strip_prefix("delay:") {
-        let ms: u64 = ms.parse().expect("delay:<milliseconds>");
-        return SchedulerKind::Delay(SimDuration::from_millis(ms));
+fn parse_scheduler(args: &mut Args, flag: &str) -> SchedulerKind {
+    let v = args.value(flag);
+    if let Some(ms) = v.strip_prefix("delay:") {
+        return SchedulerKind::Delay(SimDuration::from_millis(args.parse_as(flag, ms)));
     }
-    match s {
+    match v.as_str() {
         "delay" => SchedulerKind::spark_default(),
         "fifo" => SchedulerKind::Fifo,
         "locality-first" => SchedulerKind::LocalityFirst,
-        other => panic!("unknown scheduler {other:?}"),
+        other => args.fail(&format!("unknown scheduler {other:?}")),
+    }
+}
+
+/// Parses `<a>[:<b>]`, with `b` defaulting to `None`.
+fn parse_pair(args: &mut Args, flag: &str) -> (f64, Option<f64>) {
+    let v = args.value(flag);
+    match v.split_once(':') {
+        Some((a, b)) => (args.parse_as(flag, a), Some(args.parse_as(flag, b))),
+        None => (args.parse_as(flag, &v), None),
     }
 }
 
 fn main() {
+    // Flags that only set a field write it straight into `cfg`; the
+    // cluster, campaign, allocator and seed are filled in after parsing.
+    let mut cfg = SimConfig::paper(WorkloadKind::Sort, 25, AllocatorKind::Custody, 42);
     let mut workload = WorkloadKind::Sort;
     let mut nodes = 25usize;
     let mut allocator = AllocatorKind::Custody;
@@ -80,151 +95,99 @@ fn main() {
     let mut jobs = 10usize;
     let mut seed = 42u64;
     let mut racks = 1usize;
-    let mut placement = PlacementKind::Random;
-    let mut quota: Option<usize> = None;
-    let mut scheduler = SchedulerKind::spark_default();
-    let mut failures: Vec<NodeFailure> = Vec::new();
-    let mut chaos: Option<custody_sim::ChaosConfig> = None;
     let mut control_plane: Option<custody_sim::ControlPlaneConfig> = None;
     let mut checkpoint_secs: Option<f64> = None;
     let mut master_crash: Option<f64> = None;
-    let mut audit = false;
-    let mut speculation = false;
     let mut failslow: Option<custody_sim::FailSlowConfig> = None;
     let mut partition: Option<custody_sim::PartitionConfig> = None;
-    let mut corruption: Option<custody_sim::CorruptionConfig> = None;
     let mut no_quarantine = false;
     let mut demotion: Option<String> = None;
     let mut retry_budget: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut analyze = false;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
-        match a.as_str() {
-            "--workload" => workload = parse_workload(&val()),
-            "--nodes" => nodes = val().parse().expect("--nodes <n>"),
-            "--allocator" => allocator = parse_allocator(&val()),
-            "--baseline" => baseline = Some(parse_allocator(&val())),
-            "--jobs" => jobs = val().parse().expect("--jobs <n>"),
-            "--seed" => seed = val().parse().expect("--seed <n>"),
-            "--racks" => racks = val().parse().expect("--racks <n>"),
-            "--placement" => placement = parse_placement(&val()),
-            "--quota" => quota = Some(val().parse().expect("--quota <n>")),
-            "--scheduler" => scheduler = parse_scheduler(&val()),
+    let mut args = Args::from_env(USAGE);
+    while let Some(a) = args.next_arg() {
+        let flag = a.as_str();
+        match flag {
+            "--workload" => workload = parse_workload(&mut args, flag),
+            "--nodes" => nodes = args.parse(flag),
+            "--allocator" => allocator = parse_allocator(&mut args, flag),
+            "--baseline" => baseline = Some(parse_allocator(&mut args, flag)),
+            "--jobs" => jobs = args.parse(flag),
+            "--seed" => seed = args.parse(flag),
+            "--racks" => racks = args.parse(flag),
+            "--placement" => cfg.placement = parse_placement(&mut args, flag),
+            "--quota" => cfg.quota = QuotaMode::FixedPerApp(args.parse(flag)),
+            "--scheduler" => cfg.scheduler = parse_scheduler(&mut args, flag),
             "--fail" => {
-                let v = val();
-                let (t, n) = v.split_once(':').expect("--fail <secs>:<node>");
-                failures.push(NodeFailure {
-                    at: SimTime::from_secs(t.parse().expect("seconds")),
-                    node: NodeId::new(n.parse().expect("node index")),
+                let v = args.value(flag);
+                let Some((t, n)) = v.split_once(':') else {
+                    args.fail("--fail needs <secs>:<node>")
+                };
+                cfg.failures.push(NodeFailure {
+                    at: SimTime::from_secs(args.parse_as(flag, t)),
+                    node: NodeId::new(args.parse_as(flag, n)),
                 });
             }
             "--chaos" => {
-                let v = val();
-                let (mtbf, downtime) = match v.split_once(':') {
-                    Some((m, d)) => (
-                        m.parse().expect("--chaos <mtbf-secs>[:<downtime-secs>]"),
-                        d.parse().expect("downtime seconds"),
-                    ),
-                    None => (v.parse().expect("--chaos <mtbf-secs>"), 30.0),
-                };
+                let (mtbf, downtime) = parse_pair(&mut args, flag);
                 let mut c = custody_sim::ChaosConfig::default().with_mean_time_between_faults(mtbf);
-                c.mean_downtime_secs = downtime;
-                chaos = Some(c);
+                c.mean_downtime_secs = downtime.unwrap_or(30.0);
+                cfg.chaos = Some(c);
             }
             "--detector" => {
-                let v = val();
-                let cp = custody_sim::ControlPlaneConfig::default();
-                control_plane = Some(match v.split_once(':') {
-                    Some((drop, timeout)) => cp
-                        .with_drop_probability(
-                            drop.parse()
-                                .expect("--detector <drop-prob>[:<suspicion-secs>]"),
-                        )
-                        .with_suspicion_timeout(timeout.parse().expect("suspicion seconds")),
-                    None => cp.with_drop_probability(v.parse().expect("--detector <drop-prob>")),
+                let (drop, timeout) = parse_pair(&mut args, flag);
+                let cp = custody_sim::ControlPlaneConfig::default().with_drop_probability(drop);
+                control_plane = Some(match timeout {
+                    Some(secs) => cp.with_suspicion_timeout(secs),
+                    None => cp,
                 });
             }
-            "--checkpoint" => checkpoint_secs = Some(val().parse().expect("--checkpoint <secs>")),
-            "--master-crash" => master_crash = Some(val().parse().expect("--master-crash <prob>")),
-            "--audit" => audit = true,
-            "--speculation" => speculation = true,
+            "--checkpoint" => checkpoint_secs = Some(args.parse(flag)),
+            "--master-crash" => master_crash = Some(args.parse(flag)),
+            "--audit" => cfg.audit = true,
+            "--speculation" => cfg.speculation = Some(SpeculationConfig::default()),
             "--failslow" => {
-                let v = val();
-                let fs = custody_sim::FailSlowConfig::default();
-                failslow = Some(match v.split_once(':') {
-                    Some((sick, fault)) => fs
-                        .with_sick_fraction(
-                            sick.parse()
-                                .expect("--failslow <sick-fraction>[:<fault-prob>]"),
-                        )
-                        .with_transient_fault_prob(fault.parse().expect("fault probability")),
-                    None => fs.with_sick_fraction(v.parse().expect("--failslow <sick-fraction>")),
+                let (sick, fault) = parse_pair(&mut args, flag);
+                let fs = custody_sim::FailSlowConfig::default().with_sick_fraction(sick);
+                failslow = Some(match fault {
+                    Some(p) => fs.with_transient_fault_prob(p),
+                    None => fs,
                 });
             }
             "--partition" => {
-                let v = val();
-                let pc = custody_sim::PartitionConfig::default();
-                partition = Some(match v.split_once(':') {
-                    Some((split, heal)) => pc
-                        .with_split_fraction(
-                            split
-                                .parse()
-                                .expect("--partition <split-fraction>[:<mean-heal-secs>]"),
-                        )
-                        .with_mean_heal(heal.parse().expect("mean heal seconds")),
-                    None => {
-                        pc.with_split_fraction(v.parse().expect("--partition <split-fraction>"))
-                    }
+                let (split, heal) = parse_pair(&mut args, flag);
+                let pc = custody_sim::PartitionConfig::default().with_split_fraction(split);
+                partition = Some(match heal {
+                    Some(secs) => pc.with_mean_heal(secs),
+                    None => pc,
                 });
             }
             "--corruption" => {
-                let v = val();
-                let cc = custody_sim::CorruptionConfig::default();
-                corruption = Some(match v.split_once(':') {
-                    Some((latent, scrub)) => cc
-                        .with_latent_fraction(
-                            latent
-                                .parse()
-                                .expect("--corruption <latent-fraction>[:<scrub-interval-secs>]"),
-                        )
-                        .with_scrub_interval(scrub.parse().expect("scrub interval seconds")),
-                    None => {
-                        cc.with_latent_fraction(v.parse().expect("--corruption <latent-fraction>"))
-                    }
+                let (latent, scrub) = parse_pair(&mut args, flag);
+                let cc = custody_sim::CorruptionConfig::default().with_latent_fraction(latent);
+                cfg.corruption = Some(match scrub {
+                    Some(secs) => cc.with_scrub_interval(secs),
+                    None => cc,
                 });
             }
             "--no-quarantine" => no_quarantine = true,
-            "--demotion" => demotion = Some(val()),
-            "--retry-budget" => {
-                retry_budget = Some(val().parse().expect("--retry-budget <n>"));
-            }
-            "--trace" => trace_path = Some(val()),
+            "--demotion" => demotion = Some(args.value(flag)),
+            "--retry-budget" => retry_budget = Some(args.parse(flag)),
+            "--trace" => trace_path = Some(args.value(flag)),
             "--analyze" => analyze = true,
-            other => panic!("unknown flag {other:?}"),
+            other => args.fail(&format!("unknown flag {other:?}")),
         }
     }
+    if nodes == 0 {
+        args.fail("--nodes must be at least 1");
+    }
 
-    let mut cfg = SimConfig::paper(workload, nodes, allocator, seed)
-        .with_scheduler(scheduler)
-        .with_placement(placement)
-        .with_failures(failures);
-    cfg.campaign = cfg.campaign.with_jobs_per_app(jobs);
-    cfg.cluster = cfg.cluster.with_racks(racks);
-    if let Some(q) = quota {
-        cfg = cfg.with_quota(QuotaMode::FixedPerApp(q));
-    }
-    if let Some(c) = chaos {
-        cfg = cfg.with_chaos(c);
-    }
-    if audit {
-        cfg = cfg.with_audit(true);
-    }
-    if speculation {
-        cfg = cfg.with_speculation(SpeculationConfig::default());
-    }
+    cfg.cluster = custody_sim::ClusterSpec::paper(nodes).with_racks(racks);
+    cfg.campaign = custody_sim::Campaign::paper(workload).with_jobs_per_app(jobs);
+    cfg.allocator = allocator;
+    cfg.seed = seed;
     if checkpoint_secs.is_some() || master_crash.is_some() {
         let mut cp = control_plane.unwrap_or_default();
         if let Some(secs) = checkpoint_secs {
@@ -239,8 +202,9 @@ fn main() {
         cfg = cfg.with_control_plane(cp);
     }
     if no_quarantine || demotion.is_some() || retry_budget.is_some() {
-        let mut fs =
-            failslow.expect("--no-quarantine / --demotion / --retry-budget modify --failslow");
+        let Some(mut fs) = failslow else {
+            args.fail("--no-quarantine / --demotion / --retry-budget modify --failslow")
+        };
         if no_quarantine {
             fs = fs.with_detection(false);
         }
@@ -248,7 +212,7 @@ fn main() {
             Some("soft") => fs = fs.with_demotion(true).with_soft_demotion(true),
             Some("hard") => fs = fs.with_demotion(true).with_soft_demotion(false),
             Some("off") => fs = fs.with_demotion(false),
-            Some(other) => panic!("unknown demotion mode {other:?} (soft|hard|off)"),
+            Some(other) => args.fail(&format!("unknown demotion mode {other:?}")),
             None => {}
         }
         if let Some(budget) = retry_budget {
@@ -261,9 +225,6 @@ fn main() {
     }
     if let Some(pc) = partition {
         cfg = cfg.with_partition(pc);
-    }
-    if let Some(cc) = corruption {
-        cfg = cfg.with_corruption(cc);
     }
 
     println!("{}\n", cfg.label());
@@ -350,7 +311,7 @@ fn main() {
             m.partition_reconverge_secs.count(),
         );
     }
-    if corruption.is_some() {
+    if cfg.corruption.is_some() {
         println!(
             "corruption: {} replicas rotted  detected {} by read / {} by scrub  \
              latency {:.1} s mean ({})  {} repaired  {} blocks unavailable ({} recovered)  \

@@ -1,7 +1,7 @@
-//! Shared scaffolding for the scale benches (`alloc_round`, `sim_scale`).
+//! Shared scaffolding for the scale benchmarks (`sim_scale`, `simbench`).
 //!
-//! Two builders live here so the Criterion microbench and the end-to-end
-//! scale binary measure the same shapes:
+//! Two builders live here so the single-round microbench and the
+//! end-to-end scale runs measure the same shapes:
 //!
 //! * [`synthetic_round_view`] — a grant-heavy single allocation round
 //!   (every executor idle, demand sized to drain the pool);

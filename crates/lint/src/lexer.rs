@@ -2,8 +2,7 @@
 //! invariant lints.
 //!
 //! The build environment is fully offline, so `syn` cannot be a
-//! dependency (the same constraint that led to the in-tree `criterion`
-//! stub). The lints only need identifier/literal-level facts — "does this
+//! dependency. The lints only need identifier/literal-level facts — "does this
 //! non-test code mention `HashMap`?", "is there a float literal inside
 //! this function?" — so a hand-rolled lexer plus a light context pass
 //! (brace depth, `#[cfg(test)]` regions, enclosing `fn` names, inline

@@ -29,11 +29,9 @@ pub mod analysis;
 pub mod config;
 pub(crate) mod demand;
 pub mod driver;
-pub mod experiment;
 pub mod job;
 pub mod metrics;
 pub mod report;
-pub mod sweep;
 pub mod trace;
 
 pub use config::{
@@ -42,7 +40,6 @@ pub use config::{
 };
 pub use driver::Simulation;
 pub use metrics::{AppMetrics, RunMetrics, SimOutcome};
-pub use sweep::{Sweep, SweepResult};
 pub use trace::{TaskRecord, TaskTrace};
 
 // Re-exports so downstream code can configure runs with one import.
