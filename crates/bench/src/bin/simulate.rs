@@ -226,6 +226,9 @@ fn main() {
     if let Some(pc) = partition {
         cfg = cfg.with_partition(pc);
     }
+    if let Err(msg) = cfg.validate() {
+        args.fail(&msg);
+    }
 
     println!("{}\n", cfg.label());
     let (outcome, trace) = Simulation::run_traced(&cfg);

@@ -1,5 +1,6 @@
-//! The harness binaries reject bad input with usage and exit status 2,
-//! never a backtrace, and answer `--help` with usage and status 0.
+//! The harness binaries reject bad input — including parsable values a
+//! fault layer cannot take — with usage and exit status 2, never a
+//! backtrace, and answer `--help` with usage and status 0.
 
 use std::process::Command;
 
@@ -53,4 +54,29 @@ fn simulate_rejects_an_unparsable_or_missing_value() {
     assert_usage_error(SIMULATE, &["--chaos", "20:soon"]);
     assert_usage_error(SIMULATE, &["--allocator", "fastest"]);
     assert_usage_error(SIMULATE, &["--workload"]);
+}
+
+#[test]
+fn simulate_rejects_out_of_range_layer_values() {
+    for args in [
+        &["--failslow", "1.5"][..],
+        &["--failslow", "0.3:2"],
+        &["--chaos", "-3:10"],
+        &["--detector", "1.5"],
+        &["--partition", "1.5:8"],
+        &["--corruption", "1.5:10"],
+        &["--fail", "10:99"],
+        &[
+            "--checkpoint",
+            "10",
+            "--chaos",
+            "20:10",
+            "--detector",
+            "0.2",
+            "--master-crash",
+            "2",
+        ],
+    ] {
+        assert_usage_error(SIMULATE, args);
+    }
 }

@@ -152,33 +152,35 @@ impl ChaosConfig {
         self
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// `Err` with the first rule a field breaks, unless every field is
+    /// physically sensible.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
             self.mean_time_between_faults_secs > 0.0,
-            "mean time between faults must be positive"
-        );
-        assert!(
+            "mean time between faults must be positive",
+        )?;
+        ensure(
             self.mean_downtime_secs > 0.0,
-            "mean downtime must be positive"
-        );
-        assert!(
+            "mean downtime must be positive",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.executor_only_fraction),
-            "executor-only fraction must be a probability"
-        );
-        assert!(
+            "executor-only fraction must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.degraded_fraction),
-            "degraded fraction must be a probability"
-        );
-        assert!(
+            "degraded fraction must be a probability",
+        )?;
+        ensure(
             self.degraded_remote_factor >= 1.0,
-            "degradation cannot speed reads up"
-        );
-        assert!(
+            "degradation cannot speed reads up",
+        )?;
+        ensure(
             self.mean_degraded_window_secs > 0.0,
-            "mean degradation window must be positive"
-        );
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
+            "mean degradation window must be positive",
+        )?;
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
+        Ok(())
     }
 }
 
@@ -390,86 +392,88 @@ impl FailSlowConfig {
         self.sick_fraction == 0.0 && self.transient_fault_prob == 0.0
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// `Err` with the first rule a field breaks, unless every field is
+    /// physically sensible.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
             (0.0..=1.0).contains(&self.sick_fraction),
-            "sick fraction must be a probability"
-        );
-        assert!(
+            "sick fraction must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.transient_fault_prob),
-            "transient fault probability must be a probability"
-        );
+            "transient fault probability must be a probability",
+        )?;
         if self.is_inert() {
-            return; // oracle degeneration: nothing else applies
+            return Ok(()); // oracle degeneration: nothing else applies
         }
-        assert!(self.mean_onset_secs > 0.0, "mean onset must be positive");
-        assert!(
+        ensure(self.mean_onset_secs > 0.0, "mean onset must be positive")?;
+        ensure(
             self.mean_episode_secs >= 0.0,
-            "mean episode must be non-negative"
-        );
+            "mean episode must be non-negative",
+        )?;
         if self.mean_episode_secs > 0.0 {
-            assert!(
+            ensure(
                 self.mean_remission_secs > 0.0,
-                "episodic slowdowns need a positive mean remission"
-            );
+                "episodic slowdowns need a positive mean remission",
+            )?;
         }
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
-        assert!(
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
+        ensure(
             (0.0..=1.0).contains(&self.disk_fraction)
                 && (0.0..=1.0).contains(&self.nic_fraction)
                 && self.disk_fraction + self.nic_fraction <= 1.0,
-            "cause fractions must be probabilities summing to at most one"
-        );
-        assert!(
+            "cause fractions must be probabilities summing to at most one",
+        )?;
+        ensure(
             self.disk_factor >= 1.0 && self.nic_factor >= 1.0 && self.cpu_factor >= 1.0,
-            "fail-slow cannot speed a node up"
-        );
-        assert!(
+            "fail-slow cannot speed a node up",
+        )?;
+        ensure(
             self.sick_fault_multiplier >= 1.0,
-            "sick nodes cannot fault less than healthy ones"
-        );
-        assert!(
+            "sick nodes cannot fault less than healthy ones",
+        )?;
+        ensure(
             self.retry_backoff_secs >= 0.0,
-            "retry backoff must be non-negative"
-        );
-        assert!(
+            "retry backoff must be non-negative",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.retry_jitter),
-            "retry jitter must be a fraction"
-        );
+            "retry jitter must be a fraction",
+        )?;
         if self.detection {
-            assert!(self.min_samples > 0, "detector needs at least one sample");
-            assert!(
+            ensure(self.min_samples > 0, "detector needs at least one sample")?;
+            ensure(
                 self.window >= self.min_samples,
-                "sample window must hold min_samples"
-            );
-            assert!(
+                "sample window must hold min_samples",
+            )?;
+            ensure(
                 self.suspect_ratio > 1.0,
-                "suspect ratio must exceed one (the median itself)"
-            );
-            assert!(
+                "suspect ratio must exceed one (the median itself)",
+            )?;
+            ensure(
                 self.quarantine_ratio >= self.suspect_ratio,
-                "quarantine ratio must be at least the suspect ratio"
-            );
-            assert!(
+                "quarantine ratio must be at least the suspect ratio",
+            )?;
+            ensure(
                 self.probation_delay_secs > 0.0,
-                "probation delay must be positive"
-            );
-            assert!(
+                "probation delay must be positive",
+            )?;
+            ensure(
                 self.probation_probes > 0,
-                "probation needs at least one probe"
-            );
+                "probation needs at least one probe",
+            )?;
             if self.demotion && self.soft_demotion {
-                assert!(
+                ensure(
                     (1..=64).contains(&self.cost_scale),
-                    "cost scale must be in 1..=64"
-                );
-                assert!(
+                    "cost scale must be in 1..=64",
+                )?;
+                ensure(
                     self.cost_cap_ratio >= 1.0,
-                    "cost cap ratio cannot be below one"
-                );
+                    "cost cap ratio cannot be below one",
+                )?;
             }
         }
+        Ok(())
     }
 }
 
@@ -561,46 +565,48 @@ impl ControlPlaneConfig {
         self.checkpoint_interval_secs > 0.0
     }
 
-    /// Panics unless the configuration is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// `Err` with the first rule a field breaks, unless the configuration
+    /// is physically sensible.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
             self.mean_delay_secs >= 0.0,
-            "mean delay must be non-negative"
-        );
-        assert!(
+            "mean delay must be non-negative",
+        )?;
+        ensure(
             self.checkpoint_interval_secs >= 0.0,
-            "checkpoint interval must be non-negative"
-        );
-        assert!(
+            "checkpoint interval must be non-negative",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.master_crash_fraction),
-            "master-crash fraction must be a probability"
-        );
+            "master-crash fraction must be a probability",
+        )?;
         if self.master_crash_fraction > 0.0 {
-            assert!(
+            ensure(
                 self.wal_enabled(),
-                "master crashes need checkpointing to recover from"
-            );
+                "master crashes need checkpointing to recover from",
+            )?;
         }
         if self.is_perfect() {
-            return; // oracle degeneration: timing relations don't apply
+            return Ok(()); // oracle degeneration: timing relations don't apply
         }
-        assert!(
+        ensure(
             self.heartbeat_interval_secs > 0.0,
-            "heartbeat interval must be positive"
-        );
-        assert!(
+            "heartbeat interval must be positive",
+        )?;
+        ensure(
             (0.0..1.0).contains(&self.drop_probability),
-            "drop probability must be in [0, 1)"
-        );
-        assert!(
+            "drop probability must be in [0, 1)",
+        )?;
+        ensure(
             self.suspicion_timeout_secs > self.heartbeat_interval_secs,
-            "suspicion timeout must exceed the heartbeat interval"
-        );
-        assert!(
+            "suspicion timeout must exceed the heartbeat interval",
+        )?;
+        ensure(
             self.lease_duration_secs > self.heartbeat_interval_secs
                 && self.lease_duration_secs < self.suspicion_timeout_secs,
-            "lease duration must sit between heartbeat interval and suspicion timeout"
-        );
+            "lease duration must sit between heartbeat interval and suspicion timeout",
+        )?;
+        Ok(())
     }
 }
 
@@ -738,49 +744,51 @@ impl PartitionConfig {
         self.split_fraction == 0.0
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// `Err` with the first rule a field breaks, unless every field is
+    /// physically sensible.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
             (0.0..1.0).contains(&self.split_fraction),
-            "split fraction must be in [0, 1) — someone must stay with the master"
-        );
+            "split fraction must be in [0, 1) — someone must stay with the master",
+        )?;
         if self.is_inert() {
-            return; // oracle degeneration: nothing else applies
+            return Ok(()); // oracle degeneration: nothing else applies
         }
-        assert!(
+        ensure(
             self.mean_time_between_partitions_secs > 0.0,
-            "mean time between partitions must be positive"
-        );
-        assert!(self.mean_heal_secs > 0.0, "mean heal must be positive");
-        assert!(
+            "mean time between partitions must be positive",
+        )?;
+        ensure(self.mean_heal_secs > 0.0, "mean heal must be positive")?;
+        ensure(
             (0.0..=1.0).contains(&self.asymmetric_prob),
-            "asymmetric probability must be a probability"
-        );
-        assert!(
+            "asymmetric probability must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.inbound_cut_prob),
-            "inbound-cut probability must be a probability"
-        );
-        assert!(
+            "inbound-cut probability must be a probability",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.flap_prob),
-            "flap probability must be a probability"
-        );
+            "flap probability must be a probability",
+        )?;
         if self.flap_prob > 0.0 {
-            assert!(
+            ensure(
                 self.mean_flap_secs > 0.0,
-                "flapping episodes need a positive mean flap period"
-            );
+                "flapping episodes need a positive mean flap period",
+            )?;
         }
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
-        assert!(self.max_episodes > 0, "need at least one episode");
-        assert!(
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
+        ensure(self.max_episodes > 0, "need at least one episode")?;
+        ensure(
             self.redelivery_secs > 0.0,
-            "redelivery interval must be positive"
-        );
-        assert!(self.restore_batch > 0, "restore batch must be positive");
-        assert!(
+            "redelivery interval must be positive",
+        )?;
+        ensure(self.restore_batch > 0, "restore batch must be positive")?;
+        ensure(
             self.restore_interval_secs > 0.0,
-            "restore interval must be positive"
-        );
+            "restore interval must be positive",
+        )?;
+        Ok(())
     }
 }
 
@@ -916,52 +924,63 @@ impl CorruptionConfig {
         self.scrub_interval_secs > 0.0
     }
 
-    /// Panics unless every field is physically sensible.
-    pub fn validate(&self) {
-        assert!(
+    /// `Err` with the first rule a field breaks, unless every field is
+    /// physically sensible.
+    pub fn validate(&self) -> Result<(), String> {
+        ensure(
             (0.0..=1.0).contains(&self.latent_fraction),
-            "latent fraction must be a probability"
-        );
-        assert!(
+            "latent fraction must be a probability",
+        )?;
+        ensure(
             self.mean_time_between_corruptions_secs >= 0.0,
-            "mean time between corruptions must be non-negative"
-        );
+            "mean time between corruptions must be non-negative",
+        )?;
         if self.is_inert() {
-            return; // oracle degeneration: nothing else applies
+            return Ok(()); // oracle degeneration: nothing else applies
         }
-        assert!(self.horizon_secs >= 0.0, "horizon must be non-negative");
-        assert!(
+        ensure(self.horizon_secs >= 0.0, "horizon must be non-negative")?;
+        ensure(
             (0.0..=1.0).contains(&self.disk_bias),
-            "disk bias must be a probability"
-        );
-        assert!(
+            "disk bias must be a probability",
+        )?;
+        ensure(
             self.scrub_interval_secs >= 0.0,
-            "scrub interval must be non-negative"
-        );
+            "scrub interval must be non-negative",
+        )?;
         if self.scrub_enabled() {
-            assert!(
+            ensure(
                 self.scrub_blocks_per_tick > 0,
-                "an enabled scrubber must examine at least one block per tick"
-            );
+                "an enabled scrubber must examine at least one block per tick",
+            )?;
         }
-        assert!(self.repair_batch > 0, "repair batch must be positive");
-        assert!(
+        ensure(self.repair_batch > 0, "repair batch must be positive")?;
+        ensure(
             self.repair_interval_secs > 0.0,
-            "repair interval must be positive"
-        );
-        assert!(
+            "repair interval must be positive",
+        )?;
+        ensure(
             self.unavailability_deadline_secs > 0.0,
-            "unavailability deadline must be positive"
-        );
-        assert!(self.retry_budget > 0, "retry budget must be positive");
-        assert!(
+            "unavailability deadline must be positive",
+        )?;
+        ensure(self.retry_budget > 0, "retry budget must be positive")?;
+        ensure(
             self.retry_backoff_secs > 0.0,
-            "retry backoff must be positive"
-        );
-        assert!(
+            "retry backoff must be positive",
+        )?;
+        ensure(
             (0.0..=1.0).contains(&self.retry_jitter),
-            "retry jitter must be a fraction"
-        );
+            "retry jitter must be a fraction",
+        )?;
+        Ok(())
+    }
+}
+
+/// `Err(msg)` unless `ok`: one rule of a `validate()` check.
+fn ensure(ok: bool, msg: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg.to_string())
     }
 }
 
@@ -1184,6 +1203,40 @@ impl SimConfig {
             self.seed,
         )
     }
+
+    /// `Err` with the first broken rule unless the run can start:
+    /// scripted failures target existing nodes, every configured layer
+    /// passes its own `validate()`, and an active partition layer has a
+    /// modeled control plane to mis-see it. The driver panics on `Err`;
+    /// command-line front ends report it as a usage error.
+    pub fn validate(&self) -> Result<(), String> {
+        for f in &self.failures {
+            if f.node.index() >= self.cluster.num_nodes {
+                return Err(format!("failure targets unknown {}", f.node));
+            }
+        }
+        if let Some(chaos) = &self.chaos {
+            chaos.validate()?;
+        }
+        if let Some(cp) = &self.control_plane {
+            cp.validate()?;
+        }
+        if let Some(fs) = &self.failslow {
+            fs.validate()?;
+        }
+        if let Some(pc) = &self.partition {
+            pc.validate()?;
+            ensure(
+                pc.is_inert() || self.control_plane.is_some_and(|cp| !cp.is_perfect()),
+                "partitions require a modeled (non-perfect) control plane: \
+                 they are precisely the faults only a belief-based detector can mis-see",
+            )?;
+        }
+        if let Some(cc) = &self.corruption {
+            cc.validate()?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1235,8 +1288,8 @@ mod tests {
         assert_eq!(chaos.mean_time_between_faults_secs, 12.0);
         assert_eq!(chaos.horizon_secs, 90.0);
         assert_eq!(chaos.max_down, 3);
-        chaos.validate();
-        ChaosConfig::default().validate();
+        chaos.validate().unwrap();
+        ChaosConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -1246,7 +1299,8 @@ mod tests {
             degraded_fraction: 1.5,
             ..ChaosConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1265,8 +1319,8 @@ mod tests {
         assert_eq!(fs.transient_fault_prob, 0.05);
         assert_eq!(fs.retry_budget, 4);
         assert_eq!(fs.mean_episode_secs, 25.0);
-        fs.validate();
-        FailSlowConfig::default().validate();
+        fs.validate().unwrap();
+        FailSlowConfig::default().validate().unwrap();
     }
 
     #[test]
@@ -1281,7 +1335,7 @@ mod tests {
             ..FailSlowConfig::default()
         };
         assert!(inert.is_inert());
-        inert.validate();
+        inert.validate().unwrap();
         assert!(!FailSlowConfig::default().is_inert());
     }
 
@@ -1292,7 +1346,8 @@ mod tests {
             sick_fraction: 2.0,
             ..FailSlowConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1302,7 +1357,8 @@ mod tests {
             disk_factor: 0.5,
             ..FailSlowConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1323,8 +1379,8 @@ mod tests {
         assert_eq!(p.asymmetric_prob, 1.0);
         assert_eq!(p.flap_prob, 0.5);
         assert_eq!(p.max_episodes, 2);
-        p.validate();
-        PartitionConfig::default().validate();
+        p.validate().unwrap();
+        PartitionConfig::default().validate().unwrap();
         // An active partition config auto-installs a modeled control
         // plane when none was configured.
         assert!(c.control_plane.is_some());
@@ -1341,7 +1397,7 @@ mod tests {
             ..PartitionConfig::default()
         };
         assert!(inert.is_inert());
-        inert.validate();
+        inert.validate().unwrap();
         assert!(!PartitionConfig::default().is_inert());
         // Inert partitions don't force a control plane into the config.
         let c = SimConfig::small_demo(1).with_partition(inert);
@@ -1355,7 +1411,8 @@ mod tests {
             split_fraction: 1.0,
             ..PartitionConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1366,7 +1423,8 @@ mod tests {
             mean_flap_secs: 0.0,
             ..PartitionConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1385,8 +1443,8 @@ mod tests {
         assert_eq!(k.scrub_interval_secs, 10.0);
         assert_eq!(k.disk_bias, 1.0);
         assert_eq!(k.unavailability_deadline_secs, 30.0);
-        k.validate();
-        CorruptionConfig::default().validate();
+        k.validate().unwrap();
+        CorruptionConfig::default().validate().unwrap();
         assert!(CorruptionConfig::default().scrub_enabled());
     }
 
@@ -1402,7 +1460,7 @@ mod tests {
             ..CorruptionConfig::default()
         };
         assert!(inert.is_inert());
-        inert.validate();
+        inert.validate().unwrap();
         assert!(!CorruptionConfig::default().is_inert());
         // Latent-only and arrivals-only configs are both active.
         assert!(!CorruptionConfig {
@@ -1425,7 +1483,8 @@ mod tests {
             latent_fraction: 1.0,
             ..CorruptionConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1435,7 +1494,8 @@ mod tests {
             latent_fraction: 1.5,
             ..CorruptionConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -1445,7 +1505,37 @@ mod tests {
             scrub_blocks_per_tick: 0,
             ..CorruptionConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
+    }
+
+    #[test]
+    fn sim_config_validation_reports_the_broken_rule() {
+        let base = SimConfig::small_demo(1);
+        assert_eq!(base.validate(), Ok(()));
+        let chaos = base.clone().with_chaos(ChaosConfig {
+            mean_time_between_faults_secs: -3.0,
+            ..ChaosConfig::default()
+        });
+        assert_eq!(
+            chaos.validate().unwrap_err(),
+            "mean time between faults must be positive"
+        );
+        let mut unknown = base.clone();
+        unknown.failures.push(NodeFailure {
+            at: SimTime::from_secs(1),
+            node: NodeId::new(99),
+        });
+        assert!(unknown
+            .validate()
+            .unwrap_err()
+            .contains("failure targets unknown"));
+        let mut blind = base.with_partition(PartitionConfig::default());
+        blind.control_plane = None;
+        assert!(blind
+            .validate()
+            .unwrap_err()
+            .contains("modeled (non-perfect)"));
     }
 
     #[test]

@@ -53,7 +53,6 @@ use custody_dfs::{DatasetId, NameNode};
 use custody_scheduler::speculation::{SpeculationConfig, SpeculationPolicy};
 use custody_scheduler::{Placement, RunnableTask, TaskScheduler};
 use custody_simcore::dist::{Distribution, Exponential, TruncatedNormal, Zipf};
-use custody_simcore::stats::Summary;
 use custody_simcore::{DenseSet, EventQueue, SimDuration, SimRng, SimTime};
 use custody_workload::{AppId, DatasetMode, JobId, JobSpec, SubmissionSchedule};
 
@@ -245,7 +244,6 @@ struct SpecState {
     config: SpeculationConfig,
     policies: std::collections::BTreeMap<(usize, usize), SpeculationPolicy>,
     cloned: std::collections::BTreeSet<(usize, usize, usize)>,
-    launches: usize,
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -370,83 +368,15 @@ struct Driver {
     /// Remote input reads are slowed while `now < degraded_until`.
     degraded_until: SimTime,
     remote_reads_in_flight: usize,
-    allocation_rounds: usize,
-    events_processed: usize,
-    nodes_failed: usize,
-    nodes_recovered: usize,
-    executor_faults: usize,
-    degraded_windows: usize,
-    tasks_requeued: usize,
-    clones_won: usize,
-    clones_lost: usize,
-    /// Blocks whose last replica lived on a failed/suspected node.
-    blocks_lost: usize,
-    /// Suspicions raised against nodes that were actually alive.
-    false_suspicions: usize,
-    /// Seconds from physical failure to suspicion, per true suspicion.
-    detection_latency: Summary,
-    /// Leases revoked because they expired without renewal.
-    leases_revoked: usize,
-    /// Master crash/recovery cycles survived.
-    master_recoveries: usize,
-    /// Finish events fenced by the executor-epoch check.
-    stale_finishes_fenced: usize,
-    /// Stale finishes that slipped past fencing (the auditor asserts 0).
-    unfenced_stale_finishes: usize,
-    /// Fail-slow episodes that began.
-    failslow_onsets: usize,
-    /// Transient task faults injected.
-    task_faults_injected: usize,
-    /// Faulted attempts re-queued within their job's retry budget.
-    task_retries: usize,
-    /// Jobs failed cleanly after exhausting their retry budget.
-    jobs_failed: usize,
-    /// Health-detector quarantine transitions taken.
-    nodes_quarantined: usize,
-    /// Quarantines of nodes whose slowdown was not physically active.
-    false_quarantines: usize,
-    /// Seconds from slowdown onset to quarantine, per true quarantine.
-    quarantine_latency: Summary,
-    /// Probe tasks launched on probation nodes.
-    probes_launched: usize,
-    /// Partition episodes that opened.
-    partition_episodes: usize,
-    /// Finish reports deferred because their node could not reach the
-    /// master (each bouncing report counted once).
-    partition_finishes_deferred: usize,
-    /// Deferred Finish reports ultimately rejected by the epoch fence on
-    /// delivery — minority work the master had already re-run elsewhere.
-    partition_finishes_fenced: usize,
-    /// Live minority attempts discarded because of the partition: ghost
-    /// dispatches rolled back at reconnect plus running work fenced by
-    /// belief-driven kills of reachable-no-more nodes.
-    partition_work_discarded: usize,
-    /// Seconds from heal to settled beliefs, per reconverged episode.
-    partition_reconverge: Summary,
-    /// Replicas that silently rotted (latent seeding + arrivals).
-    replicas_corrupted: usize,
-    /// Corrupt replicas discovered by a failed verified read.
-    corrupt_reads_detected: usize,
-    /// Corrupt replicas discovered by the background scrubber.
-    scrub_detections: usize,
-    /// Seconds from rot onset to detection, once per detected mark.
-    corruption_detection: Summary,
-    /// Replicas re-created by the unified repair pipeline (instant and
-    /// paced paths both).
-    replicas_repaired: usize,
-    /// Blocks that lost their last intact replica (tombstoned).
-    blocks_unavailable: usize,
-    /// Tombstoned blocks that regained an intact replica.
-    blocks_recovered: usize,
-    /// Jobs failed cleanly by an unavailability deadline.
-    jobs_failed_unavailable: usize,
+    /// The run's counter ledger: every counter, latency summary and phase
+    /// timer the event handlers record. `finish()` fills in the
+    /// end-of-run fields and hands it out.
+    metrics: RunMetrics,
     /// Open fault disruptions: (fault time, tasks it displaced that have
     /// not relaunched yet). Drained sets record their drain time into
-    /// `requeue_drain` — the recovery-time-to-stable-locality metric.
+    /// `requeue_drain_secs` — the recovery-time-to-stable-locality
+    /// metric.
     open_disruptions: Vec<(SimTime, BTreeSet<TaskKey>)>,
-    requeue_drain: Summary,
-    /// Largest event-queue length seen.
-    peak_queue_len: usize,
     /// Run the invariant auditor after every event (always in debug
     /// builds; `SimConfig::audit` opts release builds in).
     audit_enabled: bool,
@@ -458,16 +388,6 @@ struct Driver {
     cache: DemandCache,
     /// Outcome of the previous allocation round.
     last_round: LastRound,
-    rounds_skipped: usize,
-    /// Wall-clock spent building views and allocating.
-    alloc_wall: std::time::Duration,
-    /// Wall-clock spent popping the event queue.
-    event_wall: std::time::Duration,
-    /// Wall-clock spent on demand maintenance: demand-cache refresh plus
-    /// journal-driven preferred-node re-resolution. Refreshes run inside
-    /// view building, so this overlaps (is not additive with)
-    /// `alloc_wall`.
-    demand_wall: std::time::Duration,
     /// Reused buffer for collecting idle held executors per app
     /// (release + offer passes), avoiding a fresh Vec per app per pass.
     idle_scratch: Vec<ExecutorId>,
@@ -479,6 +399,9 @@ struct Driver {
 
 impl Driver {
     fn new(config: &SimConfig) -> Self {
+        if let Err(msg) = config.validate() {
+            panic!("{msg}"); // lint: allow(panic) — an invalid config is caller misuse; front ends report `SimConfig::validate` errors before running
+        }
         let cluster = config.cluster.build_cluster();
         let mut namenode = config.cluster.build_namenode();
         let mut placement = config.placement.build_for(&config.cluster);
@@ -556,17 +479,11 @@ impl Driver {
         }
         // Scripted failures.
         for f in &config.failures {
-            assert!(
-                f.node.index() < cluster.num_nodes(),
-                "failure targets unknown {}",
-                f.node
-            );
             queue.schedule(f.at, Event::NodeFail { node: f.node });
         }
         // Stochastic faults: seed the first arrival of the chaos process.
         let mut chaos_rng = SimRng::for_stream(config.seed, "chaos");
         if let Some(chaos) = &config.chaos {
-            chaos.validate();
             let gap =
                 Exponential::with_mean(chaos.mean_time_between_faults_secs).sample(&mut chaos_rng);
             if gap <= chaos.horizon_secs {
@@ -581,7 +498,6 @@ impl Driver {
         let control_plane = config.control_plane;
         let detector = match &control_plane {
             Some(cp) => {
-                cp.validate();
                 if cp.is_perfect() {
                     None // folds to oracle behavior: no heartbeat events
                 } else {
@@ -620,7 +536,6 @@ impl Driver {
         let mut failslow_rng = SimRng::for_stream(config.seed, "failslow");
         let health = match &config.failslow {
             Some(fs) => {
-                fs.validate();
                 if fs.is_inert() {
                     None
                 } else {
@@ -635,22 +550,16 @@ impl Driver {
             None => None,
         };
 
-        // Connectivity layer: validate, and seed the first episode's
-        // arrival. An inert config (split fraction 0) keeps the layer
-        // off entirely — no events, no `"partition"` draws — so it
-        // degenerates to the oracle event-for-event.
+        // Connectivity layer: seed the first episode's arrival. An inert
+        // config (split fraction 0) keeps the layer off entirely — no
+        // events, no `"partition"` draws — so it degenerates to the
+        // oracle event-for-event.
         let mut partition_rng = SimRng::for_stream(config.seed, "partition");
         let partition = match &config.partition {
             Some(pc) => {
-                pc.validate();
                 if pc.is_inert() {
                     None
                 } else {
-                    assert!(
-                        detector.is_some(),
-                        "partitions require a modeled (non-perfect) control plane: \
-                         they are precisely the faults only a belief-based detector can mis-see"
-                    );
                     let gap = Exponential::with_mean(pc.mean_time_between_partitions_secs)
                         .sample(&mut partition_rng);
                     if gap <= pc.horizon_secs {
@@ -665,16 +574,15 @@ impl Driver {
             None => None,
         };
 
-        // Data-durability layer: validate, seed the latent bit-rot, and
-        // schedule the first corruption arrival and scrub tick. An inert
-        // config (nothing to inject) keeps the layer off entirely — no
-        // events, no `"corruption"` draws — so it degenerates to the
-        // oracle bit-for-bit.
+        // Data-durability layer: seed the latent bit-rot, and schedule the
+        // first corruption arrival and scrub tick. An inert config
+        // (nothing to inject) keeps the layer off entirely — no events,
+        // no `"corruption"` draws — so it degenerates to the oracle
+        // bit-for-bit.
         let mut corruption_rng = SimRng::for_stream(config.seed, "corruption");
-        let mut replicas_corrupted = 0;
+        let mut metrics = RunMetrics::default();
         let durability = match &config.corruption {
             Some(cc) => {
-                cc.validate();
                 if cc.is_inert() {
                     None
                 } else {
@@ -690,7 +598,7 @@ impl Driver {
                                 && namenode.mark_corrupt(block, node)
                             {
                                 layer.onset.insert((block, node), SimTime::ZERO);
-                                replicas_corrupted += 1;
+                                metrics.replicas_corrupted += 1;
                             }
                         }
                     }
@@ -740,7 +648,6 @@ impl Driver {
                 config: sc,
                 policies: std::collections::BTreeMap::new(),
                 cloned: std::collections::BTreeSet::new(),
-                launches: 0,
             }),
             chaos: config.chaos,
             chaos_rng,
@@ -763,55 +670,13 @@ impl Driver {
             perma_down: vec![false; num_nodes],
             degraded_until: SimTime::ZERO,
             remote_reads_in_flight: 0,
-            allocation_rounds: 0,
-            events_processed: 0,
-            nodes_failed: 0,
-            nodes_recovered: 0,
-            executor_faults: 0,
-            degraded_windows: 0,
-            tasks_requeued: 0,
-            clones_won: 0,
-            clones_lost: 0,
-            blocks_lost: 0,
-            false_suspicions: 0,
-            detection_latency: Summary::new(),
-            leases_revoked: 0,
-            master_recoveries: 0,
-            stale_finishes_fenced: 0,
-            unfenced_stale_finishes: 0,
-            failslow_onsets: 0,
-            task_faults_injected: 0,
-            task_retries: 0,
-            jobs_failed: 0,
-            nodes_quarantined: 0,
-            false_quarantines: 0,
-            quarantine_latency: Summary::new(),
-            probes_launched: 0,
-            partition_episodes: 0,
-            partition_finishes_deferred: 0,
-            partition_finishes_fenced: 0,
-            partition_work_discarded: 0,
-            partition_reconverge: Summary::new(),
-            replicas_corrupted,
-            corrupt_reads_detected: 0,
-            scrub_detections: 0,
-            corruption_detection: Summary::new(),
-            replicas_repaired: 0,
-            blocks_unavailable: 0,
-            blocks_recovered: 0,
-            jobs_failed_unavailable: 0,
+            metrics,
             open_disruptions: Vec::new(),
-            requeue_drain: Summary::new(),
-            peak_queue_len: 0,
             audit_enabled: cfg!(debug_assertions) || config.audit,
             trace: None,
             incremental: config.incremental,
             cache: DemandCache::new(campaign.num_apps()),
             last_round: LastRound::None,
-            rounds_skipped: 0,
-            alloc_wall: std::time::Duration::ZERO,
-            event_wall: std::time::Duration::ZERO,
-            demand_wall: std::time::Duration::ZERO,
             idle_scratch: Vec::new(),
             runnable_scratch: Vec::new(),
             affected_scratch: Vec::new(),
@@ -826,7 +691,7 @@ impl Driver {
         loop {
             let pop_started = std::time::Instant::now();
             let Some(ev) = self.queue.pop() else { break };
-            self.event_wall += pop_started.elapsed();
+            self.metrics.event_pop_wall_secs += pop_started.elapsed().as_secs_f64();
             if self.maybe_crash_master(&ev) {
                 self.master_crash_recover(&ev);
             }
@@ -851,7 +716,7 @@ impl Driver {
     /// recovery replays. Dispatch (release/allocate/offer) runs after
     /// every event, exactly as in the main loop.
     fn handle_event(&mut self, event: Event, now: SimTime) {
-        self.events_processed += 1;
+        self.metrics.events_processed += 1;
         match event {
             Event::Submit { app, seq } => self.on_submit(app, seq, now),
             Event::Finish { executor, epoch } => self.on_finish(executor, epoch, now),
@@ -888,7 +753,7 @@ impl Driver {
             // interval the first time the rejoined minority looks clean.
             self.check_partition_reconverge(now);
         }
-        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
+        self.metrics.peak_queue_len = self.metrics.peak_queue_len.max(self.queue.len());
     }
 
     /// Whether this run keeps a checkpoint + WAL (master recovery).
@@ -984,7 +849,7 @@ impl Driver {
                 // retry loop bounces it until a delivery succeeds
                 // (a heal is always pending, so it always drains).
                 if p.deferred.insert((executor.index(), epoch)) {
-                    self.partition_finishes_deferred += 1;
+                    self.metrics.partition_finishes_deferred += 1;
                 }
                 self.queue.schedule(
                     now + SimDuration::from_secs_f64(p.cfg.redelivery_secs),
@@ -997,21 +862,21 @@ impl Driver {
                 // epoch went stale while it bounced: the master already
                 // re-ran the work elsewhere — rejected and counted,
                 // never double-completed.
-                self.partition_finishes_fenced += 1;
+                self.metrics.partition_finishes_fenced += 1;
             }
         }
         let state = &mut self.exec_state[executor.index()];
         if state.dead || state.epoch != epoch {
             // Stale completion for a task killed by a failure (or, in
             // detector mode, fenced out by a belief-kill's epoch bump).
-            self.stale_finishes_fenced += 1;
+            self.metrics.stale_finishes_fenced += 1;
             return;
         }
         let Some(running) = state.running.take() else {
             if self.detector.is_some() {
                 // A stale finish that slipped past epoch fencing — never
                 // expected; the auditor asserts this stays zero.
-                self.unfenced_stale_finishes += 1;
+                self.metrics.unfenced_stale_finishes += 1;
                 return;
             }
             panic!("finish on idle executor"); // lint: allow(panic) — driver invariant: Finish events target executors with a running task
@@ -1035,7 +900,7 @@ impl Driver {
                     .block
                     .expect("input attempt has a block"); // lint: allow(panic) — read_from is only set for input-stage attempts
                 if self.namenode.is_replica_corrupt(block, src) {
-                    self.corrupt_reads_detected += 1;
+                    self.metrics.corrupt_reads_detected += 1;
                     self.detect_corrupt(block, src, now);
                     self.on_corrupt_read_fault(running, now);
                     return;
@@ -1069,7 +934,7 @@ impl Driver {
         {
             // The other attempt of a speculated task won the race.
             if running.is_clone {
-                self.clones_lost += 1;
+                self.metrics.clones_lost += 1;
             }
             return;
         }
@@ -1078,7 +943,7 @@ impl Driver {
         // the original attempt it beat).
         self.rebind_attempt(&running);
         if running.is_clone {
-            self.clones_won += 1;
+            self.metrics.clones_won += 1;
         }
         // Auditor invariant 14, completion half: no task ever completes
         // off a corrupted replica — the verified-read gate above diverts
@@ -1185,12 +1050,14 @@ impl Driver {
     /// * this was the last attempt — the task is re-queued and the
     ///   record-bound launch accounting rolled back exactly. Returns
     ///   `true` only in this case.
+    ///
+    /// A killed clone has lost its race whichever of the three it is.
     fn on_attempt_killed(&mut self, running: &RunningTask, now: SimTime) -> bool {
+        if running.is_clone {
+            self.metrics.clones_lost += 1;
+        }
         let key = (running.job_idx, running.stage, running.task);
         if self.jobs[key.0].stages[key.1].tasks[key.2].state == TaskState::Done {
-            if running.is_clone {
-                self.clones_lost += 1;
-            }
             return false;
         }
         let twin = self.exec_state.iter().find_map(|st| {
@@ -1202,9 +1069,6 @@ impl Driver {
         if let Some(twin) = twin {
             // The survivor carries on and owns the record from here.
             self.rebind_attempt(&twin);
-            if running.is_clone {
-                self.clones_lost += 1;
-            }
             return false;
         }
         // Last attempt: the record describes it (any earlier twin death
@@ -1243,10 +1107,7 @@ impl Driver {
             // The relaunched attempt may be speculated afresh.
             spec.cloned.remove(&key);
         }
-        if running.is_clone {
-            self.clones_lost += 1;
-        }
-        self.tasks_requeued += 1;
+        self.metrics.tasks_requeued += 1;
         true
     }
 
@@ -1257,7 +1118,7 @@ impl Driver {
     /// task is gated behind exponential backoff with jitter; beyond it,
     /// the whole job fails cleanly.
     fn on_task_fault(&mut self, running: RunningTask, now: SimTime) {
-        self.task_faults_injected += 1;
+        self.metrics.task_faults_injected += 1;
         if !self.on_attempt_killed(&running, now) {
             return; // a twin survives (or the race was already lost)
         }
@@ -1268,7 +1129,7 @@ impl Driver {
             return;
         }
         self.jobs[j].retries += 1;
-        self.task_retries += 1;
+        self.metrics.task_retries += 1;
         let attempt = self.jobs[j].retries;
         let backoff = policy.backoff(attempt, &mut self.taskfault_rng);
         self.retry_gates
@@ -1314,7 +1175,7 @@ impl Driver {
             !set.is_empty()
         });
         self.jobs[j].mark_failed(now);
-        self.jobs_failed += 1;
+        self.metrics.jobs_failed += 1;
         self.cache.mark_job(j);
     }
 
@@ -1372,7 +1233,7 @@ impl Driver {
     /// on them are re-queued, and unlaunched input tasks re-resolve their
     /// preferred nodes against the post-failure replica map.
     fn on_node_fail(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        self.nodes_failed += 1;
+        self.metrics.nodes_failed += 1;
         self.node_down[node.index()] = Some(FaultKind::Machine);
         if self.detector.is_some() {
             // The master learns nothing here: only heartbeat silence
@@ -1380,7 +1241,7 @@ impl Driver {
             self.phys_fail(node, now, FaultKind::Machine);
             return;
         }
-        self.blocks_lost += self.namenode.fail_node(node).len();
+        self.metrics.blocks_lost += self.namenode.fail_node(node).len();
         // Crash repair goes through the unified scheduler: instant in
         // bare-oracle runs, paced (and priority-ordered) whenever a
         // pacing layer is active — crash debt no longer jumps the queue
@@ -1414,7 +1275,7 @@ impl Driver {
             affected.clear();
             self.affected_scratch = affected;
         }
-        self.demand_wall += started.elapsed();
+        self.metrics.demand_wall_secs += started.elapsed().as_secs_f64();
     }
 
     /// A scripted [`NodeFailure`](crate::config::NodeFailure) fires: the
@@ -1426,7 +1287,7 @@ impl Driver {
             None => self.on_node_fail(node, now),
             Some(FaultKind::ExecutorsOnly) => {
                 self.node_down[node.index()] = Some(FaultKind::Machine);
-                self.nodes_failed += 1;
+                self.metrics.nodes_failed += 1;
                 if let Some(d) = &mut self.detector {
                     // Escalation destroys the disk; the DFS channel gets
                     // a fresh incarnation and the master finds out via
@@ -1435,7 +1296,7 @@ impl Driver {
                     d.data_lost[node.index()] = true;
                     d.phys_down_at[node.index()] = now;
                 } else {
-                    self.blocks_lost += self.namenode.fail_node(node).len();
+                    self.metrics.blocks_lost += self.namenode.fail_node(node).len();
                     self.schedule_repair(now);
                     self.refresh_all_preferred();
                 }
@@ -1449,7 +1310,7 @@ impl Driver {
     /// its DataNode (and replicas) survive, so nothing is re-replicated
     /// and preferred nodes are unchanged.
     fn on_executor_fault(&mut self, node: custody_dfs::NodeId, now: SimTime) {
-        self.executor_faults += 1;
+        self.metrics.executor_faults += 1;
         self.node_down[node.index()] = Some(FaultKind::ExecutorsOnly);
         if self.detector.is_some() {
             self.phys_fail(node, now, FaultKind::ExecutorsOnly);
@@ -1474,7 +1335,7 @@ impl Driver {
             .expect("recovering a node that is up"); // lint: allow(panic) — recover events are only scheduled for down nodes
         if self.detector.is_some() {
             self.phys_recover(node, kind, now);
-            self.nodes_recovered += 1;
+            self.metrics.nodes_recovered += 1;
             return;
         }
         if kind == FaultKind::Machine {
@@ -1488,7 +1349,7 @@ impl Driver {
             state.idle_since = now;
             self.pool.insert(e.index());
         }
-        self.nodes_recovered += 1;
+        self.metrics.nodes_recovered += 1;
         self.cache.mark_pool_changed();
     }
 
@@ -1512,7 +1373,7 @@ impl Driver {
             self.degraded_until = self
                 .degraded_until
                 .max(now + SimDuration::from_secs_f64(window));
-            self.degraded_windows += 1;
+            self.metrics.degraded_windows += 1;
             return;
         }
         let exec_only = self.chaos_rng.chance(chaos.executor_only_fraction);
@@ -1548,7 +1409,8 @@ impl Driver {
             if set.is_empty() {
                 let at = *at;
                 self.open_disruptions.remove(i);
-                self.requeue_drain
+                self.metrics
+                    .requeue_drain_secs
                     .push(now.saturating_since(at).as_secs_f64());
             } else {
                 i += 1;
@@ -1626,14 +1488,14 @@ impl Driver {
                 // Same non-empty pool, same demand: the allocator would
                 // see the identical view it granted nothing from.
                 LastRound::Counted(0) => {
-                    self.allocation_rounds += 1;
-                    self.rounds_skipped += 1;
+                    self.metrics.allocation_rounds += 1;
+                    self.metrics.rounds_skipped += 1;
                     return 0;
                 }
                 // Same pool, still nothing wanted: the early return would
                 // fire again without reaching the allocator.
                 LastRound::NoDemand => {
-                    self.rounds_skipped += 1;
+                    self.metrics.rounds_skipped += 1;
                     return 0;
                 }
                 // A granting round dirties the pool and `EmptyPool` with a
@@ -1646,11 +1508,11 @@ impl Driver {
         self.cache.begin_round();
         let view = self.build_view();
         if view.total_demand() == 0 {
-            self.alloc_wall += started.elapsed();
+            self.metrics.allocator_wall_secs += started.elapsed().as_secs_f64();
             self.last_round = LastRound::NoDemand;
             return 0;
         }
-        self.allocation_rounds += 1;
+        self.metrics.allocation_rounds += 1;
         if let Some(h) = &self.health {
             if h.cfg.detection && h.cfg.demotion {
                 if h.cfg.soft_demotion {
@@ -1671,7 +1533,7 @@ impl Driver {
             }
         }
         let assignments = self.allocator.allocate(&view, &mut self.alloc_rng);
-        self.alloc_wall += started.elapsed();
+        self.metrics.allocator_wall_secs += started.elapsed().as_secs_f64();
         if cfg!(debug_assertions) {
             custody_core::allocator::validate_assignments(&view, &assignments);
         }
@@ -1703,7 +1565,7 @@ impl Driver {
         if self.incremental {
             let started = std::time::Instant::now();
             self.cache.refresh(&self.jobs);
-            self.demand_wall += started.elapsed();
+            self.metrics.demand_wall_secs += started.elapsed().as_secs_f64();
         }
         // Quarantined nodes' executors stay pooled but invisible: the
         // allocator can only grant what the view offers, so nothing is
@@ -1961,7 +1823,7 @@ impl Driver {
         let (j, st, t) = candidates[choice];
         let spec = self.speculation.as_mut().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch
         spec.cloned.insert((j, st, t));
-        spec.launches += 1;
+        self.metrics.tasks_speculated += 1;
         // Launch the clone on `e` without touching the task record: the
         // first attempt to finish wins (`on_finish` ignores the loser).
         let node = self.cluster.node_of(e);
@@ -2215,7 +2077,6 @@ impl Driver {
     }
 
     fn finish(mut self) -> (SimOutcome, TaskTrace) {
-        let makespan = self.queue.now();
         // Sanity: every submitted job must have completed.
         for job in &self.jobs {
             assert!(
@@ -2252,154 +2113,34 @@ impl Driver {
                 "deferred Finish reports never delivered after heal"
             );
         }
-        let nodes_failed = self.nodes_failed;
-        let tasks_requeued = self.tasks_requeued;
-        let tasks_speculated = self.speculation.as_ref().map_or(0, |s| s.launches);
-        // End-of-run metric self-consistency: every clone's race resolved
-        // one way or the other, and recoveries never outnumber the faults
-        // that caused them. `nodes_recovered` counts executor-only fault
-        // recoveries as well as machine recoveries, so the bound is the
-        // sum — not `nodes_failed` alone (executor-only chaos runs have
-        // `nodes_failed == 0` with recoveries present).
-        assert!(
-            self.clones_won + self.clones_lost <= tasks_speculated,
-            "clone races resolved ({} + {}) exceed clones launched ({tasks_speculated})",
-            self.clones_won,
-            self.clones_lost,
-        );
-        assert!(
-            self.nodes_recovered <= nodes_failed + self.executor_faults,
-            "{} recoveries exceed {} machine + {} executor-only faults",
-            self.nodes_recovered,
-            nodes_failed,
-            self.executor_faults,
-        );
-        // Partition accounting closes over the whole run: every fenced
-        // minority Finish was first deferred and then hit the epoch
-        // fence, reconvergence is measured at most once per episode, and
-        // a run without the layer has nothing on any partition counter.
-        assert!(
-            self.partition_finishes_fenced <= self.partition_finishes_deferred,
-            "{} partition-fenced Finishes exceed {} ever deferred",
-            self.partition_finishes_fenced,
-            self.partition_finishes_deferred,
-        );
-        assert!(
-            self.partition_finishes_fenced <= self.stale_finishes_fenced,
-            "a partition-fenced Finish bypassed the epoch fence",
-        );
-        assert!(
-            self.partition_reconverge.count() <= self.partition_episodes,
-            "{} reconvergences measured for {} episodes",
-            self.partition_reconverge.count(),
-            self.partition_episodes,
-        );
-        if let Some(p) = &self.partition {
-            assert!(
-                self.partition_episodes <= p.cfg.max_episodes,
-                "{} episodes exceed the configured cap {}",
-                self.partition_episodes,
-                p.cfg.max_episodes,
-            );
-        } else {
-            assert_eq!(self.partition_episodes, 0, "episodes without a layer");
-            assert_eq!(self.partition_finishes_deferred, 0);
-            assert_eq!(self.partition_work_discarded, 0);
-        }
-        // Durability ledger at end of run: split the damage into
-        // at-risk (exactly one intact copy left), unavailable
-        // (tombstoned, still no intact copy), and permanently lost
-        // (no intact copy at all, detected or not). Without the layer
-        // every corruption counter must be untouched.
-        let (blocks_at_risk, blocks_permanently_lost) = match &self.durability {
-            Some(d) => {
-                assert_eq!(
-                    self.blocks_unavailable,
-                    self.blocks_recovered + d.unavailable.len(),
-                    "unavailability ledger out of balance at end of run"
-                );
-                let mut at_risk = 0;
-                let mut lost = 0;
-                for b in 0..self.namenode.num_blocks() {
-                    match self
-                        .namenode
-                        .clean_replica_count(custody_dfs::BlockId::new(b))
-                    {
-                        0 => lost += 1,
-                        1 => at_risk += 1,
-                        _ => {}
-                    }
+        // The counter invariants the auditor checks after every event
+        // hold at the end of every run, audited or not.
+        self.check_counters();
+        // Durability ledger at end of run: split the damage into at-risk
+        // (exactly one intact copy left) and permanently lost (no intact
+        // copy at all, detected or not).
+        if self.durability.is_some() {
+            for b in 0..self.namenode.num_blocks() {
+                match self
+                    .namenode
+                    .clean_replica_count(custody_dfs::BlockId::new(b))
+                {
+                    0 => self.metrics.blocks_permanently_lost += 1,
+                    1 => self.metrics.blocks_at_risk += 1,
+                    _ => {}
                 }
-                (at_risk, lost)
             }
-            None => {
-                assert_eq!(self.replicas_corrupted, 0, "corruption without a layer");
-                assert_eq!(self.corrupt_reads_detected, 0);
-                assert_eq!(self.scrub_detections, 0);
-                assert_eq!(self.blocks_unavailable, 0);
-                assert_eq!(self.blocks_recovered, 0);
-                assert_eq!(self.jobs_failed_unavailable, 0);
-                (0, 0)
-            }
-        };
-        let jobs_completed = self.apps.iter().map(|a| a.metrics.jobs_completed).sum();
-        let trace = self.trace.take().unwrap_or_default();
+        }
+        let mut metrics = self.metrics;
+        metrics.per_app = self.apps.into_iter().map(|a| a.metrics).collect();
+        metrics.jobs_completed = metrics.per_app.iter().map(|a| a.jobs_completed).sum();
+        metrics.makespan = self.queue.now();
+        metrics.peak_rss_bytes = crate::metrics::peak_rss_bytes();
         let outcome = SimOutcome {
             label: String::new(),
-            cluster_metrics: RunMetrics {
-                per_app: self.apps.into_iter().map(|a| a.metrics).collect(),
-                jobs_completed,
-                makespan,
-                allocation_rounds: self.allocation_rounds,
-                rounds_skipped: self.rounds_skipped,
-                allocator_wall_secs: self.alloc_wall.as_secs_f64(),
-                event_pop_wall_secs: self.event_wall.as_secs_f64(),
-                demand_wall_secs: self.demand_wall.as_secs_f64(),
-                peak_rss_bytes: crate::metrics::peak_rss_bytes(),
-                events_processed: self.events_processed,
-                nodes_failed,
-                nodes_recovered: self.nodes_recovered,
-                executor_faults: self.executor_faults,
-                degraded_windows: self.degraded_windows,
-                tasks_requeued,
-                tasks_speculated,
-                clones_won: self.clones_won,
-                clones_lost: self.clones_lost,
-                requeue_drain_secs: self.requeue_drain,
-                peak_queue_len: self.peak_queue_len,
-                blocks_lost: self.blocks_lost,
-                false_suspicions: self.false_suspicions,
-                detection_latency_secs: self.detection_latency,
-                leases_revoked: self.leases_revoked,
-                master_recoveries: self.master_recoveries,
-                stale_finishes_fenced: self.stale_finishes_fenced,
-                unfenced_stale_finishes: self.unfenced_stale_finishes,
-                failslow_onsets: self.failslow_onsets,
-                task_faults_injected: self.task_faults_injected,
-                task_retries: self.task_retries,
-                jobs_failed: self.jobs_failed,
-                nodes_quarantined: self.nodes_quarantined,
-                false_quarantines: self.false_quarantines,
-                quarantine_latency_secs: self.quarantine_latency,
-                probes_launched: self.probes_launched,
-                partition_episodes: self.partition_episodes,
-                partition_finishes_deferred: self.partition_finishes_deferred,
-                partition_finishes_fenced: self.partition_finishes_fenced,
-                partition_work_discarded: self.partition_work_discarded,
-                partition_reconverge_secs: self.partition_reconverge,
-                replicas_corrupted: self.replicas_corrupted,
-                corrupt_reads_detected: self.corrupt_reads_detected,
-                scrub_detections: self.scrub_detections,
-                corruption_detection_secs: self.corruption_detection,
-                replicas_repaired: self.replicas_repaired,
-                blocks_unavailable: self.blocks_unavailable,
-                blocks_recovered: self.blocks_recovered,
-                blocks_at_risk,
-                blocks_permanently_lost,
-                jobs_failed_unavailable: self.jobs_failed_unavailable,
-            },
+            cluster_metrics: metrics,
         };
-        (outcome, trace)
+        (outcome, self.trace.unwrap_or_default())
     }
 }
 
@@ -2423,6 +2164,15 @@ mod tests {
         SimConfig::small_demo(seed).with_allocator(allocator)
     }
 
+    /// Runs `cfg` twice and asserts the two ledgers match, host
+    /// measurements aside.
+    fn assert_deterministic(cfg: &SimConfig) {
+        let a = Simulation::run(cfg).cluster_metrics;
+        let mut b = Simulation::run(cfg).cluster_metrics;
+        b.adopt_host_measurements(&a);
+        assert_eq!(a, b);
+    }
+
     #[test]
     fn small_demo_completes_all_jobs() {
         let out = Simulation::run(&small(AllocatorKind::Custody, 1));
@@ -2441,17 +2191,7 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = Simulation::run(&small(AllocatorKind::Custody, 3));
-        let b = Simulation::run(&small(AllocatorKind::Custody, 3));
-        assert_eq!(a.cluster_metrics.makespan, b.cluster_metrics.makespan);
-        assert_eq!(
-            a.cluster_metrics.input_locality().mean(),
-            b.cluster_metrics.input_locality().mean()
-        );
-        assert_eq!(
-            a.cluster_metrics.events_processed,
-            b.cluster_metrics.events_processed
-        );
+        assert_deterministic(&small(AllocatorKind::Custody, 3));
     }
 
     #[test]
@@ -2542,10 +2282,7 @@ mod tests {
             at: SimTime::from_secs(4),
             node: NodeId::new(3),
         }];
-        let a = Simulation::run(&cfg).cluster_metrics;
-        let b = Simulation::run(&cfg).cluster_metrics;
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.tasks_requeued, b.tasks_requeued);
+        assert_deterministic(&cfg);
     }
 
     #[test]
@@ -2701,15 +2438,7 @@ mod tests {
 
     #[test]
     fn chaos_runs_are_deterministic() {
-        let a = Simulation::run(&chaotic(AllocatorKind::Custody, 31)).cluster_metrics;
-        let b = Simulation::run(&chaotic(AllocatorKind::Custody, 31)).cluster_metrics;
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.nodes_failed, b.nodes_failed);
-        assert_eq!(a.nodes_recovered, b.nodes_recovered);
-        assert_eq!(a.executor_faults, b.executor_faults);
-        assert_eq!(a.tasks_requeued, b.tasks_requeued);
-        assert_eq!(a.peak_queue_len, b.peak_queue_len);
-        assert_eq!(a.requeue_drain_secs.count(), b.requeue_drain_secs.count());
+        assert_deterministic(&chaotic(AllocatorKind::Custody, 31));
     }
 
     #[test]
@@ -2830,14 +2559,7 @@ mod tests {
 
     #[test]
     fn failslow_runs_are_deterministic() {
-        let a = Simulation::run(&failslow(AllocatorKind::Custody, 51)).cluster_metrics;
-        let b = Simulation::run(&failslow(AllocatorKind::Custody, 51)).cluster_metrics;
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.failslow_onsets, b.failslow_onsets);
-        assert_eq!(a.task_faults_injected, b.task_faults_injected);
-        assert_eq!(a.task_retries, b.task_retries);
-        assert_eq!(a.nodes_quarantined, b.nodes_quarantined);
-        assert_eq!(a.jobs_failed, b.jobs_failed);
+        assert_deterministic(&failslow(AllocatorKind::Custody, 51));
     }
 
     #[test]
@@ -2916,7 +2638,7 @@ mod tests {
         // counter the way a buggy rollback would.
         for _ in 0..40 {
             let Some(ev) = driver.queue.pop() else { break };
-            driver.events_processed += 1;
+            driver.metrics.events_processed += 1;
             let now = ev.time;
             match ev.event {
                 Event::Submit { app, seq } => driver.on_submit(app, seq, now),

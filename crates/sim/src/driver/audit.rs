@@ -29,8 +29,9 @@
 //!    from its jobs' task records.
 //! 6. **Stage counters** — every stage's `launched`/`completed` counts
 //!    match its tasks' states.
-//! 7. **Wake conservation** — queued `Wake` events equal the dedup set,
-//!    so a decline burst can never flood the event queue.
+//! 7. **Wake and gate conservation** — queued `Wake` events equal the
+//!    dedup set, so a decline burst can never flood the event queue, and
+//!    backoff gates cover only re-queued (runnable) tasks of live jobs.
 //! 8. **NameNode invariants** — replica maps and usage accounting (see
 //!    [`NameNode::check_invariants`](custody_dfs::NameNode)), plus
 //!    agreement between the driver's fault records and DataNode
@@ -41,31 +42,34 @@
 //!     suspicion/lease-revocation belief exactly, DFS decommissions
 //!     track DataNode suspicion, ownership and leases form a bijection,
 //!     suspicion timers are disarmed exactly while their suspicion
-//!     stands, and no stale completion ever slipped past epoch fencing.
+//!     stands, and the lease timer covers the earliest expiry.
 //! 11. **Gray-failure discipline** (fail-slow layer) — no job's retry
-//!     count exceeds the budget, a failed job holds no live attempts and
-//!     no backoff gates, backoff gates cover only re-queued (runnable)
-//!     tasks of live jobs, and with detection on no idle executor on a
-//!     quarantined node is held by any application (launches there are
-//!     additionally asserted at launch time).
+//!     count exceeds the budget, a failed job holds no live attempts,
+//!     and with detection on no idle executor on a quarantined node is
+//!     held by any application (launches there are additionally
+//!     asserted at launch time).
 //! 12. **Preferred-node freshness** — every unlaunched input task of an
 //!     unfinished job agrees with the NameNode's current replica map, so
 //!     the journal-driven sharded invalidation misses nothing.
-//! 13. **Partition discipline** (connectivity layer) — without the layer
-//!     every partition counter is zero; with it, ghost dispatches exist
-//!     only under an active cut and only on busy minority executors the
-//!     master cannot reach, fenced + still-bouncing deferred reports
-//!     never exceed total deferrals, every partition-fenced Finish also
-//!     hit the epoch fence, the episode budget is respected, and
-//!     reconvergence is only ever awaited after a heal.
-//! 14. **Durability discipline** (corruption layer) — without the layer
-//!     every corruption counter is zero; with it, the unavailability
-//!     ledger balances (`blocks_unavailable` = recovered + standing
-//!     tombstones), every standing tombstone has zero intact replicas,
-//!     onset entries never outnumber injected marks, detection-latency
-//!     samples never exceed detections, and *no completed task ever
-//!     read a corrupted replica* (enforced at completion by the
-//!     verified-read gate and re-asserted before `mark_done`).
+//! 13. **Partition discipline** (connectivity layer) — ghost dispatches
+//!     exist only under an active cut and only on busy minority
+//!     executors the master cannot reach, an active split has an
+//!     episode on record, and reconvergence is only ever awaited after a
+//!     heal.
+//! 14. **Durability discipline** (corruption layer) — every standing
+//!     tombstone has zero intact replicas, live marks and onset entries
+//!     never outnumber injected marks, and *no completed task ever read
+//!     a corrupted replica* (enforced at completion by the verified-read
+//!     gate and re-asserted before `mark_done`).
+//! 15. **Counter ledger** — [`RunMetrics::check_counters`](crate::RunMetrics):
+//!     a layer that is off counts nothing; the unavailability ledger
+//!     balances (`blocks_unavailable` = recovered + standing
+//!     tombstones); fenced + still-bouncing deferred reports never exceed
+//!     deferrals, every partition-fenced Finish also hit the epoch fence,
+//!     the episode cap holds; detection-latency samples never exceed
+//!     detections; clone races never exceed clones, recoveries never
+//!     exceed faults, and no stale completion slipped past epoch
+//!     fencing. `finish()` re-checks these at the end of every run.
 
 use custody_cluster::HealthState;
 
@@ -86,6 +90,19 @@ impl Driver {
             self.wakes.len(),
             "queued Wake events out of sync with the dedup set"
         );
+        // Backoff gates (transient faults and failed verified reads) cover
+        // only re-queued tasks of live jobs.
+        for &(j, s, t) in self.retry_gates.keys() {
+            assert!(
+                !self.jobs[j].is_finished(),
+                "retry gate outlives finished job {j}"
+            );
+            assert_eq!(
+                self.jobs[j].stages[s].tasks[t].state,
+                TaskState::Runnable,
+                "job {j} stage {s} task {t} gated while not runnable"
+            );
+        }
         self.audit_topology();
         self.audit_preferred();
         if self.incremental {
@@ -96,55 +113,29 @@ impl Driver {
         }
         self.audit_partition();
         self.audit_durability();
+        self.check_counters();
     }
 
-    /// Invariant 14: durability discipline — counter hygiene without the
-    /// layer; ledger self-consistency, tombstone justification, and
-    /// detection accounting with it. The invariant's completion half —
+    /// Invariant 15: the counter ledger's own relations, stated against
+    /// the layers that are on. `finish()` calls this too, so runs
+    /// without the per-event auditor still check them at the end.
+    pub(super) fn check_counters(&self) {
+        self.metrics.check_counters(
+            self.partition
+                .as_ref()
+                .map(|p| (p.cfg.max_episodes, p.deferred.len())),
+            self.durability.as_ref().map(|d| d.unavailable.len()),
+        );
+    }
+
+    /// Invariant 14: durability discipline — tombstone justification and
+    /// the corruption-mark bounds. The invariant's completion half —
     /// *no completed task ever read a corrupted replica* — is enforced
     /// structurally at completion time: the verified-read gate diverts
     /// every corrupt-source attempt before `mark_done`, and a
     /// debug assertion re-checks the winner's source there.
     fn audit_durability(&self) {
-        let Some(d) = &self.durability else {
-            assert_eq!(
-                self.replicas_corrupted, 0,
-                "corrupted replicas counted without the layer"
-            );
-            assert_eq!(
-                self.corrupt_reads_detected, 0,
-                "corrupt reads counted without the layer"
-            );
-            assert_eq!(
-                self.scrub_detections, 0,
-                "scrub detections counted without the layer"
-            );
-            assert_eq!(
-                self.corruption_detection.count(),
-                0,
-                "detection latency recorded without the layer"
-            );
-            assert_eq!(
-                self.blocks_unavailable, 0,
-                "blocks tombstoned without the layer"
-            );
-            assert_eq!(
-                self.blocks_recovered, 0,
-                "tombstones lifted without the layer"
-            );
-            assert_eq!(
-                self.jobs_failed_unavailable, 0,
-                "jobs failed for unavailability without the layer"
-            );
-            return;
-        };
-        // Ledger self-consistency: every tombstone ever raised is either
-        // still standing or was lifted by a recovery.
-        assert_eq!(
-            self.blocks_unavailable,
-            self.blocks_recovered + d.unavailable.len(),
-            "unavailability ledger out of balance"
-        );
+        let Some(d) = &self.durability else { return };
         // Every standing tombstone is justified: no intact copy exists.
         for &block in &d.unavailable {
             assert_eq!(
@@ -163,74 +154,25 @@ impl Driver {
                 .len();
         }
         assert!(
-            marks_total <= self.replicas_corrupted,
+            marks_total <= self.metrics.replicas_corrupted,
             "{marks_total} live corruption marks exceed {} ever injected",
-            self.replicas_corrupted
+            self.metrics.replicas_corrupted
         );
         // Onset entries are inserted once per successful mark; stale
         // entries (the replica crashed away before detection) are legal,
         // so only the insertion bound holds.
         assert!(
-            d.onset.len() <= self.replicas_corrupted,
+            d.onset.len() <= self.metrics.replicas_corrupted,
             "{} onset entries exceed {} marks ever injected",
             d.onset.len(),
-            self.replicas_corrupted
+            self.metrics.replicas_corrupted
         );
-        // Detection accounting: every latency sample came from a read or
-        // scrub detection (a detection whose onset already drained — a
-        // re-read of a tombstoned sole copy — counts no second sample).
-        assert!(
-            self.corruption_detection.count()
-                <= self.corrupt_reads_detected + self.scrub_detections,
-            "more detection-latency samples than detections"
-        );
-        assert!(
-            self.jobs_failed_unavailable <= self.jobs_failed,
-            "unavailability job failures exceed total job failures"
-        );
-        // Backoff-gate hygiene (also checked by the health audit when
-        // that layer is on; verified-read retries must satisfy it even
-        // without the gray-failure layer).
-        for &(j, s, t) in self.retry_gates.keys() {
-            assert!(
-                !self.jobs[j].is_finished(),
-                "retry gate outlives finished job {j}"
-            );
-            assert_eq!(
-                self.jobs[j].stages[s].tasks[t].state,
-                TaskState::Runnable,
-                "job {j} stage {s} task {t} gated while not runnable"
-            );
-        }
     }
 
-    /// Invariant 13: partition discipline — counter hygiene without the
-    /// layer; ghost-dispatch, deferral and episode bookkeeping with it.
+    /// Invariant 13: partition discipline — ghost-dispatch and episode
+    /// bookkeeping.
     fn audit_partition(&self) {
-        let Some(p) = &self.partition else {
-            assert_eq!(
-                self.partition_episodes, 0,
-                "partition episodes counted without the layer"
-            );
-            assert_eq!(
-                self.partition_finishes_deferred, 0,
-                "deferred finishes counted without the layer"
-            );
-            assert_eq!(
-                self.partition_finishes_fenced, 0,
-                "partition-fenced finishes counted without the layer"
-            );
-            assert_eq!(
-                self.partition_work_discarded, 0,
-                "partition-discarded work counted without the layer"
-            );
-            assert_eq!(
-                self.partition_reconverge.count(),
-                0,
-                "reconvergence samples recorded without the layer"
-            );
-            return;
-        };
+        let Some(p) = &self.partition else { return };
         let c = &p.connectivity;
         assert!(
             p.lost_dispatches.is_empty() || c.cutting(),
@@ -253,22 +195,7 @@ impl Driver {
             );
         }
         assert!(
-            self.partition_finishes_fenced + p.deferred.len() <= self.partition_finishes_deferred,
-            "fenced ({}) + bouncing ({}) deferred reports exceed deferrals ({})",
-            self.partition_finishes_fenced,
-            p.deferred.len(),
-            self.partition_finishes_deferred,
-        );
-        assert!(
-            self.partition_finishes_fenced <= self.stale_finishes_fenced,
-            "a partition-fenced Finish bypassed the epoch fence"
-        );
-        assert!(
-            self.partition_episodes <= p.cfg.max_episodes,
-            "episode budget exceeded"
-        );
-        assert!(
-            !c.split_active() || self.partition_episodes >= 1,
+            !c.split_active() || self.metrics.partition_episodes >= 1,
             "active split without an episode on record"
         );
         assert!(
@@ -278,7 +205,7 @@ impl Driver {
     }
 
     /// Invariant 11: gray-failure discipline — retry budgets, failed-job
-    /// hygiene, backoff gates, and quarantine exclusion.
+    /// hygiene, and quarantine exclusion.
     fn audit_health(&self) {
         let h = self.health.as_ref().expect("health audit without layer"); // lint: allow(panic) — the health audit only runs when the layer is configured
                                                                            // Transient faults and failed verified reads draw on the same
@@ -303,17 +230,6 @@ impl Driver {
                     .count();
                 assert_eq!(running, 0, "failed job {j} still has running tasks");
             }
-        }
-        for &(j, s, t) in self.retry_gates.keys() {
-            assert!(
-                !self.jobs[j].is_finished(),
-                "retry gate outlives finished job {j}"
-            );
-            assert_eq!(
-                self.jobs[j].stages[s].tasks[t].state,
-                TaskState::Runnable,
-                "job {j} stage {s} task {t} gated while not runnable"
-            );
         }
         if !h.cfg.detection {
             return;
@@ -562,10 +478,6 @@ impl Driver {
                 None => assert!(!failed, "node {n} is up but decommissioned"),
             }
         }
-        assert!(
-            self.blocks_lost == 0 || self.nodes_failed > 0,
-            "blocks recorded lost without any machine loss"
-        );
         self.namenode.check_invariants();
     }
 
@@ -573,9 +485,8 @@ impl Driver {
     /// internally coherent — executor death tracks suspicion/revocation
     /// exactly, DFS decommissions track DataNode suspicion exactly,
     /// ownership and leases are a bijection, suspicion timers are
-    /// disarmed exactly while their suspicion stands, the single lease
-    /// timer covers the earliest expiry, and no stale completion ever
-    /// slipped past epoch fencing.
+    /// disarmed exactly while their suspicion stands, and the single lease
+    /// timer covers the earliest expiry.
     fn audit_detector(&self) {
         let d = self.detector.as_ref().expect("detector audit without one"); // lint: allow(panic) — the detector audit only runs in detector mode
         for (e, st) in self.exec_state.iter().enumerate() {
@@ -619,13 +530,5 @@ impl Driver {
                 "lease timer armed after the earliest lease expiry"
             );
         }
-        assert!(
-            self.blocks_lost == 0 || self.nodes_failed > 0,
-            "blocks recorded lost without any machine loss"
-        );
-        assert_eq!(
-            self.unfenced_stale_finishes, 0,
-            "a stale completion slipped past epoch fencing"
-        );
     }
 }

@@ -20,9 +20,9 @@
 //!
 //! Excluded from convergence (and carried over from the crashed state):
 //! the trace (already holds pre-crash records the ghost must not
-//! duplicate), allocator wall-clock (real time, not simulated), the
-//! checkpoint/WAL themselves, the crash RNG (replay must not re-draw
-//! crash coins), and the recovery counter.
+//! duplicate), the ledger's host measurements (real time, not
+//! simulated), the checkpoint/WAL themselves, the crash RNG (replay must
+//! not re-draw crash coins), and the recovery counter.
 
 use custody_simcore::ScheduledEvent;
 
@@ -72,13 +72,11 @@ impl Driver {
         );
         assert_converged(self, &ghost);
         ghost.trace = self.trace.take();
-        ghost.alloc_wall = self.alloc_wall;
-        ghost.event_wall = self.event_wall;
-        ghost.demand_wall = self.demand_wall;
+        ghost.metrics.adopt_host_measurements(&self.metrics);
+        ghost.metrics.master_recoveries = self.metrics.master_recoveries + 1;
         ghost.checkpoint = self.checkpoint.take();
         ghost.wal = wal;
         ghost.crash_rng = self.crash_rng.clone();
-        ghost.master_recoveries = self.master_recoveries + 1;
         *self = *ghost;
     }
 }
@@ -133,71 +131,85 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(perma_down);
     check!(degraded_until);
     check!(remote_reads_in_flight);
-    check!(allocation_rounds);
-    check!(rounds_skipped);
     check!(last_round);
-    check!(events_processed);
-    check!(nodes_failed);
-    check!(nodes_recovered);
-    check!(executor_faults);
-    check!(degraded_windows);
-    check!(tasks_requeued);
-    check!(clones_won);
-    check!(clones_lost);
-    check!(blocks_lost);
-    check!(false_suspicions);
-    check!(detection_latency);
-    check!(leases_revoked);
-    check!(stale_finishes_fenced);
-    check!(unfenced_stale_finishes);
     check!(health);
     check!(failslow_rng);
     check!(taskfault_rng);
     check!(retry_gates);
-    check!(failslow_onsets);
-    check!(task_faults_injected);
-    check!(task_retries);
-    check!(jobs_failed);
-    check!(nodes_quarantined);
-    check!(false_quarantines);
-    check!(quarantine_latency);
-    check!(probes_launched);
     check!(partition);
     check!(partition_rng);
-    check!(partition_episodes);
-    check!(partition_finishes_deferred);
-    check!(partition_finishes_fenced);
-    check!(partition_work_discarded);
-    check!(partition_reconverge);
+    check!(durability);
+    check!(corruption_rng);
+    check!(repair_armed);
     check!(open_disruptions);
-    check!(requeue_drain);
-    check!(peak_queue_len);
     check!(cache);
+    // The whole counter ledger, less what recovery carries over from the
+    // crashed state: host measurements and the recovery counter.
+    let mut replayed = ghost.metrics.clone();
+    replayed.adopt_host_measurements(&live.metrics);
+    replayed.master_recoveries = live.metrics.master_recoveries;
     assert_eq!(
-        live.apps.len(),
-        ghost.apps.len(),
-        "master recovery diverged on application count"
+        live.metrics, replayed,
+        "master recovery diverged on the counter ledger"
     );
-    for (a, b) in live.apps.iter().zip(&ghost.apps) {
-        assert_eq!(a.jobs, b.jobs, "recovery diverged on an app's job list");
-        assert_eq!(a.quota, b.quota, "recovery diverged on an app's quota");
-        assert_eq!(a.held, b.held, "recovery diverged on an app's held set");
-        assert_eq!(
-            a.total_jobs, b.total_jobs,
-            "recovery diverged on total_jobs"
+    // Per-application allocation state: job lists, quotas, held sets, the
+    // locality accounting the allocator reads, and the per-app metrics.
+    let apps = |d: &Driver| {
+        d.apps
+            .iter()
+            .map(|a| {
+                let locality = (a.total_jobs, a.local_jobs, a.total_tasks, a.local_tasks);
+                (
+                    a.jobs.clone(),
+                    a.quota,
+                    a.held.clone(),
+                    locality,
+                    a.metrics.clone(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        apps(live),
+        apps(ghost),
+        "master recovery diverged on application state"
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::*;
+    use crate::config::{CorruptionConfig, SimConfig};
+
+    /// Whether `assert_converged` rejects `live` against a copy of it
+    /// that `perturb` changed.
+    fn diverges(live: &Driver, perturb: impl FnOnce(&mut Driver)) -> bool {
+        let mut ghost = live.clone();
+        perturb(&mut ghost);
+        catch_unwind(AssertUnwindSafe(|| assert_converged(live, &ghost))).is_err()
+    }
+
+    #[test]
+    fn convergence_check_covers_the_durability_layer() {
+        let cfg = SimConfig::small_demo(43).with_corruption(
+            CorruptionConfig::default()
+                .with_latent_fraction(0.05)
+                .with_mean_time_between_corruptions(10.0),
         );
-        assert_eq!(
-            a.local_jobs, b.local_jobs,
-            "recovery diverged on local_jobs"
-        );
-        assert_eq!(
-            a.total_tasks, b.total_tasks,
-            "recovery diverged on total_tasks"
-        );
-        assert_eq!(
-            a.local_tasks, b.local_tasks,
-            "recovery diverged on local_tasks"
-        );
-        assert_eq!(a.metrics, b.metrics, "recovery diverged on app metrics");
+        let live = Driver::new(&cfg);
+        assert!(!diverges(&live, |_| {}));
+        assert!(diverges(&live, |g| {
+            g.durability.as_mut().expect("layer on").scrub_cursor += 1;
+        }));
+        assert!(diverges(&live, |g| {
+            g.corruption_rng.below(2);
+        }));
+        assert!(diverges(&live, |g| g.repair_armed = !g.repair_armed));
+        assert!(diverges(&live, |g| g.metrics.scrub_detections += 1));
+        // Recovery carries these over from the crashed state.
+        assert!(!diverges(&live, |g| g.metrics.master_recoveries += 1));
+        assert!(!diverges(&live, |g| g.metrics.allocator_wall_secs += 1.0));
     }
 }

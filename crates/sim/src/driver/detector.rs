@@ -398,10 +398,11 @@ impl Driver {
         d.exec_suspected[node.index()] = true;
         if self.node_down[node.index()].is_some() {
             let down_at = d.phys_down_at[node.index()];
-            self.detection_latency
+            self.metrics
+                .detection_latency_secs
                 .push(now.saturating_since(down_at).as_secs_f64());
         } else {
-            self.false_suspicions += 1;
+            self.metrics.false_suspicions += 1;
         }
         // Work still physically running behind the cut is about to be
         // fenced and re-run: score it as partition-discarded.
@@ -423,14 +424,15 @@ impl Driver {
         let lost = d.data_lost[node.index()];
         if self.node_down[node.index()] == Some(FaultKind::Machine) {
             let down_at = d.phys_down_at[node.index()];
-            self.detection_latency
+            self.metrics
+                .detection_latency_secs
                 .push(now.saturating_since(down_at).as_secs_f64());
         } else {
-            self.false_suspicions += 1;
+            self.metrics.false_suspicions += 1;
         }
         let pinned = self.namenode.suspect_node(node);
         if lost {
-            self.blocks_lost += pinned.len();
+            self.metrics.blocks_lost += pinned.len();
         }
         // Suspicion storms (a whole minority timing out together) and
         // corruption drops share the unified repair queue: paced batches
@@ -461,7 +463,7 @@ impl Driver {
         self.note_minority_discards(&expired);
         let mut displaced: BTreeSet<TaskKey> = BTreeSet::new();
         for &e in &expired {
-            self.leases_revoked += 1;
+            self.metrics.leases_revoked += 1;
             // Drops the lease as part of the kill.
             self.kill_executor(e, now, &mut displaced);
         }

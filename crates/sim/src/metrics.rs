@@ -70,8 +70,11 @@ impl AppMetrics {
     }
 }
 
-/// Metrics of one whole run.
-#[derive(Debug, Clone, PartialEq)]
+/// Metrics of one whole run. The driver owns one as its counter ledger
+/// and records into it as events happen; the per-app breakdown,
+/// `jobs_completed`, `makespan`, `peak_rss_bytes` and the end-of-run
+/// durability split are filled in when the run finishes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     /// Per-application breakdown, app-id order.
     pub per_app: Vec<AppMetrics>,
@@ -294,6 +297,125 @@ impl RunMetrics {
         self.demand_wall_secs = other.demand_wall_secs;
         self.peak_rss_bytes = other.peak_rss_bytes;
     }
+
+    /// Asserts the invariants that tie counters to one another: clone
+    /// races never outnumber clones, recoveries never outnumber the faults
+    /// behind them, nothing slips past the epoch fence, a layer that is
+    /// off counts nothing, and each layer that is on balances its ledger.
+    /// `partition` is `(episode cap, Finish reports still bouncing across
+    /// a cut)` when the partition layer is on; `tombstoned` is the number
+    /// of blocks still tombstoned when the durability layer is on. The
+    /// auditor calls this after every event and the driver once more at
+    /// the end of every run.
+    pub(crate) fn check_counters(
+        &self,
+        partition: Option<(usize, usize)>,
+        tombstoned: Option<usize>,
+    ) {
+        assert!(
+            self.clones_won + self.clones_lost <= self.tasks_speculated,
+            "clone races resolved ({} + {}) exceed clones launched ({})",
+            self.clones_won,
+            self.clones_lost,
+            self.tasks_speculated,
+        );
+        // `nodes_recovered` counts executor-only fault recoveries as well
+        // as machine recoveries, so the bound is the sum — not
+        // `nodes_failed` alone (executor-only chaos runs have
+        // `nodes_failed == 0` with recoveries present).
+        assert!(
+            self.nodes_recovered <= self.nodes_failed + self.executor_faults,
+            "{} recoveries exceed {} machine + {} executor-only faults",
+            self.nodes_recovered,
+            self.nodes_failed,
+            self.executor_faults,
+        );
+        assert!(
+            self.blocks_lost == 0 || self.nodes_failed > 0,
+            "blocks recorded lost without any machine loss"
+        );
+        assert_eq!(
+            self.unfenced_stale_finishes, 0,
+            "a stale completion slipped past epoch fencing"
+        );
+        assert!(
+            self.jobs_failed_unavailable <= self.jobs_failed,
+            "unavailability job failures exceed total job failures"
+        );
+        // Partition accounting: every fenced minority Finish was first
+        // deferred and then hit the epoch fence, reconvergence is
+        // measured at most once per episode, and the episode cap holds.
+        match partition {
+            None => assert_eq!(
+                [
+                    self.partition_episodes,
+                    self.partition_finishes_deferred,
+                    self.partition_finishes_fenced,
+                    self.partition_work_discarded,
+                    self.partition_reconverge_secs.count(),
+                ],
+                [0; 5],
+                "partition episodes, deferred, fenced, discarded or reconvergences \
+                 counted without the layer"
+            ),
+            Some((max_episodes, bouncing)) => {
+                assert!(
+                    self.partition_finishes_fenced + bouncing <= self.partition_finishes_deferred,
+                    "fenced ({}) + bouncing ({bouncing}) deferred reports exceed deferrals ({})",
+                    self.partition_finishes_fenced,
+                    self.partition_finishes_deferred,
+                );
+                assert!(
+                    self.partition_finishes_fenced <= self.stale_finishes_fenced,
+                    "a partition-fenced Finish bypassed the epoch fence"
+                );
+                assert!(
+                    self.partition_reconverge_secs.count() <= self.partition_episodes,
+                    "{} reconvergences measured for {} episodes",
+                    self.partition_reconverge_secs.count(),
+                    self.partition_episodes,
+                );
+                assert!(
+                    self.partition_episodes <= max_episodes,
+                    "{} episodes exceed the configured cap {max_episodes}",
+                    self.partition_episodes,
+                );
+            }
+        }
+        // Durability accounting: every tombstone ever raised is either
+        // still standing or was lifted by a recovery, and every latency
+        // sample came from a read or scrub detection (a detection whose
+        // onset already drained counts no second sample).
+        match tombstoned {
+            None => assert_eq!(
+                [
+                    self.replicas_corrupted,
+                    self.corrupt_reads_detected,
+                    self.scrub_detections,
+                    self.corruption_detection_secs.count(),
+                    self.blocks_unavailable,
+                    self.blocks_recovered,
+                    self.jobs_failed_unavailable,
+                ],
+                [0; 7],
+                "corrupted replicas, corrupt reads, scrub detections, detection \
+                 latencies, tombstones, lifted tombstones or unavailability job \
+                 failures counted without the layer"
+            ),
+            Some(standing) => {
+                assert_eq!(
+                    self.blocks_unavailable,
+                    self.blocks_recovered + standing,
+                    "unavailability ledger out of balance"
+                );
+                assert!(
+                    self.corruption_detection_secs.count()
+                        <= self.corrupt_reads_detected + self.scrub_detections,
+                    "more detection-latency samples than detections"
+                );
+            }
+        }
+    }
 }
 
 /// Peak resident set size of the current process in bytes, read from
@@ -357,52 +479,8 @@ mod tests {
             jobs_completed: 4,
             makespan: SimTime::from_secs(100),
             allocation_rounds: 10,
-            rounds_skipped: 0,
-            allocator_wall_secs: 0.0,
-            event_pop_wall_secs: 0.0,
-            demand_wall_secs: 0.0,
-            peak_rss_bytes: 0,
             events_processed: 50,
-            nodes_failed: 0,
-            nodes_recovered: 0,
-            executor_faults: 0,
-            degraded_windows: 0,
-            tasks_requeued: 0,
-            tasks_speculated: 0,
-            clones_won: 0,
-            clones_lost: 0,
-            requeue_drain_secs: Summary::new(),
-            peak_queue_len: 0,
-            blocks_lost: 0,
-            false_suspicions: 0,
-            detection_latency_secs: Summary::new(),
-            leases_revoked: 0,
-            master_recoveries: 0,
-            stale_finishes_fenced: 0,
-            unfenced_stale_finishes: 0,
-            failslow_onsets: 0,
-            task_faults_injected: 0,
-            task_retries: 0,
-            jobs_failed: 0,
-            nodes_quarantined: 0,
-            false_quarantines: 0,
-            quarantine_latency_secs: Summary::new(),
-            probes_launched: 0,
-            partition_episodes: 0,
-            partition_finishes_deferred: 0,
-            partition_finishes_fenced: 0,
-            partition_work_discarded: 0,
-            partition_reconverge_secs: Summary::new(),
-            replicas_corrupted: 0,
-            corrupt_reads_detected: 0,
-            scrub_detections: 0,
-            corruption_detection_secs: Summary::new(),
-            replicas_repaired: 0,
-            blocks_unavailable: 0,
-            blocks_recovered: 0,
-            blocks_at_risk: 0,
-            blocks_permanently_lost: 0,
-            jobs_failed_unavailable: 0,
+            ..RunMetrics::default()
         };
         assert_eq!(run.input_locality().count(), 4);
         assert_eq!(run.job_completion_secs().count(), 4);
@@ -412,58 +490,7 @@ mod tests {
 
     #[test]
     fn min_fraction_of_empty_run_is_capped() {
-        let run = RunMetrics {
-            per_app: vec![],
-            jobs_completed: 0,
-            makespan: SimTime::ZERO,
-            allocation_rounds: 0,
-            rounds_skipped: 0,
-            allocator_wall_secs: 0.0,
-            event_pop_wall_secs: 0.0,
-            demand_wall_secs: 0.0,
-            peak_rss_bytes: 0,
-            events_processed: 0,
-            nodes_failed: 0,
-            nodes_recovered: 0,
-            executor_faults: 0,
-            degraded_windows: 0,
-            tasks_requeued: 0,
-            tasks_speculated: 0,
-            clones_won: 0,
-            clones_lost: 0,
-            requeue_drain_secs: Summary::new(),
-            peak_queue_len: 0,
-            blocks_lost: 0,
-            false_suspicions: 0,
-            detection_latency_secs: Summary::new(),
-            leases_revoked: 0,
-            master_recoveries: 0,
-            stale_finishes_fenced: 0,
-            unfenced_stale_finishes: 0,
-            failslow_onsets: 0,
-            task_faults_injected: 0,
-            task_retries: 0,
-            jobs_failed: 0,
-            nodes_quarantined: 0,
-            false_quarantines: 0,
-            quarantine_latency_secs: Summary::new(),
-            probes_launched: 0,
-            partition_episodes: 0,
-            partition_finishes_deferred: 0,
-            partition_finishes_fenced: 0,
-            partition_work_discarded: 0,
-            partition_reconverge_secs: Summary::new(),
-            replicas_corrupted: 0,
-            corrupt_reads_detected: 0,
-            scrub_detections: 0,
-            corruption_detection_secs: Summary::new(),
-            replicas_repaired: 0,
-            blocks_unavailable: 0,
-            blocks_recovered: 0,
-            blocks_at_risk: 0,
-            blocks_permanently_lost: 0,
-            jobs_failed_unavailable: 0,
-        };
+        let run = RunMetrics::default();
         assert_eq!(run.min_local_job_fraction(), 1.0);
     }
 }

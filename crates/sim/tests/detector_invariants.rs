@@ -6,7 +6,9 @@
 //! re-checks belief coherence (suspicion/lease/death coupling, fencing)
 //! after *every* event — on top of the assertions below.
 
-use custody_sim::{AllocatorKind, ChaosConfig, ControlPlaneConfig, SimConfig, Simulation};
+use custody_sim::{
+    AllocatorKind, ChaosConfig, ControlPlaneConfig, CorruptionConfig, SimConfig, Simulation,
+};
 
 /// A perfect control plane (nothing dropped, instant suspicion) must
 /// degenerate to the oracle exactly: event-for-event identical runs.
@@ -177,18 +179,27 @@ fn master_crash_recovery_converges_to_the_uncrashed_run() {
         .with_horizon(150.0);
     let cp = ControlPlaneConfig::default().with_checkpoints(5.0);
     let base = SimConfig::small_demo(43).with_chaos(chaos);
-    let calm = Simulation::run(&base.clone().with_control_plane(cp)).cluster_metrics;
-    let crashy = Simulation::run(&base.with_control_plane(cp.with_master_crash_fraction(1.0)))
-        .cluster_metrics;
-    assert!(crashy.master_recoveries > 0, "no crash was ever drawn");
-    assert_eq!(calm.master_recoveries, 0);
-    let mut crashy_scrubbed = crashy.clone();
-    crashy_scrubbed.master_recoveries = 0;
-    crashy_scrubbed.adopt_host_measurements(&calm);
-    assert_eq!(
-        calm, crashy_scrubbed,
-        "master recovery changed an observable metric"
+    // The same storm with silent corruption on: recovery must rebuild the
+    // durability layer's state as exactly as everything else.
+    let rotting = base.clone().with_corruption(
+        CorruptionConfig::default()
+            .with_latent_fraction(0.05)
+            .with_mean_time_between_corruptions(10.0),
     );
+    for base in [base, rotting] {
+        let calm = Simulation::run(&base.clone().with_control_plane(cp)).cluster_metrics;
+        let crashy = Simulation::run(&base.with_control_plane(cp.with_master_crash_fraction(1.0)))
+            .cluster_metrics;
+        assert!(crashy.master_recoveries > 0, "no crash was ever drawn");
+        assert_eq!(calm.master_recoveries, 0);
+        let mut crashy_scrubbed = crashy.clone();
+        crashy_scrubbed.master_recoveries = 0;
+        crashy_scrubbed.adopt_host_measurements(&calm);
+        assert_eq!(
+            calm, crashy_scrubbed,
+            "master recovery changed an observable metric"
+        );
+    }
 }
 
 /// The `with_speculation_enabled` convenience switch is exactly the

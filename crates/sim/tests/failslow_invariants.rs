@@ -151,8 +151,8 @@ fn detection_strictly_lowers_jct_on_a_limping_cluster() {
     fs.min_samples = 3;
     // Five congested nodes: the sick node serves a fifth of the work, so
     // routing around it dwarfs the capacity lost to quarantine. (On a
-    // lightly loaded cluster the trade can go the other way — the sweep
-    // in `experiment.rs` averages it over seeds.)
+    // lightly loaded cluster the trade can go the other way — the
+    // fail-slow table in `custody_bench` averages it over seeds.)
     let mut base = SimConfig::small_demo(51).with_allocator(AllocatorKind::StaticSpread);
     base.cluster.num_nodes = 5;
     let on = Simulation::run(&base.clone().with_failslow(fs)).cluster_metrics;

@@ -4,185 +4,22 @@
 //! event count, makespan — must be identical with the cache enabled
 //! (default) and disabled (scan-everything reference path). Wall-clock
 //! fields are excluded: they measure the host machine, not the simulation.
+//! So is `rounds_skipped`, which counts the very skips the reference path
+//! never takes.
 
 use custody_sim::{AllocatorKind, ChaosConfig, RunMetrics, SimConfig, Simulation, WorkloadKind};
 
-/// Compares every deterministic field of two runs.
+/// Compares two runs field for field, host measurements aside.
 fn assert_identical(on: &RunMetrics, off: &RunMetrics, label: &str) {
-    assert_eq!(on.jobs_completed, off.jobs_completed, "{label}: jobs");
-    assert_eq!(on.makespan, off.makespan, "{label}: makespan");
-    assert_eq!(
-        on.allocation_rounds, off.allocation_rounds,
-        "{label}: allocation rounds (skips must replay the count)"
-    );
-    assert_eq!(on.events_processed, off.events_processed, "{label}: events");
-    assert_eq!(on.tasks_requeued, off.tasks_requeued, "{label}: requeues");
-    assert_eq!(
-        on.tasks_speculated, off.tasks_speculated,
-        "{label}: speculative launches"
-    );
-    assert_eq!(on.nodes_failed, off.nodes_failed, "{label}: failures");
-    assert_eq!(
-        on.nodes_recovered, off.nodes_recovered,
-        "{label}: recoveries"
-    );
-    assert_eq!(
-        on.executor_faults, off.executor_faults,
-        "{label}: executor faults"
-    );
-    assert_eq!(
-        on.degraded_windows, off.degraded_windows,
-        "{label}: degradation windows"
-    );
-    assert_eq!(on.clones_won, off.clones_won, "{label}: clone wins");
-    assert_eq!(on.clones_lost, off.clones_lost, "{label}: clone losses");
-    assert_eq!(
-        on.requeue_drain_secs.count(),
-        off.requeue_drain_secs.count(),
-        "{label}: disruption count"
-    );
-    assert_eq!(
-        on.requeue_drain_secs.mean(),
-        off.requeue_drain_secs.mean(),
-        "{label}: disruption drain time"
-    );
-    assert_eq!(
-        on.input_locality().mean(),
-        off.input_locality().mean(),
-        "{label}: locality"
-    );
-    assert_eq!(
-        on.job_completion_secs().mean(),
-        off.job_completion_secs().mean(),
-        "{label}: JCT"
-    );
-    assert_eq!(
-        on.scheduler_delay_secs().mean(),
-        off.scheduler_delay_secs().mean(),
-        "{label}: scheduler delay"
-    );
-    assert_eq!(
-        on.local_job_fractions(),
-        off.local_job_fractions(),
-        "{label}: fairness vector"
-    );
-    assert_eq!(
-        on.peak_queue_len, off.peak_queue_len,
-        "{label}: peak event-queue length"
-    );
-    assert_eq!(on.blocks_lost, off.blocks_lost, "{label}: blocks lost");
-    assert_eq!(
-        on.false_suspicions, off.false_suspicions,
-        "{label}: false suspicions"
-    );
-    assert_eq!(
-        on.detection_latency_secs, off.detection_latency_secs,
-        "{label}: detection latency"
-    );
-    assert_eq!(
-        on.leases_revoked, off.leases_revoked,
-        "{label}: lease revocations"
-    );
-    assert_eq!(
-        on.master_recoveries, off.master_recoveries,
-        "{label}: master recoveries"
-    );
-    assert_eq!(
-        on.stale_finishes_fenced, off.stale_finishes_fenced,
-        "{label}: fenced stale finishes"
-    );
-    assert_eq!(
-        on.unfenced_stale_finishes, off.unfenced_stale_finishes,
-        "{label}: unfenced stale finishes"
-    );
-    assert_eq!(
-        on.failslow_onsets, off.failslow_onsets,
-        "{label}: fail-slow onsets"
-    );
-    assert_eq!(
-        on.task_faults_injected, off.task_faults_injected,
-        "{label}: task faults"
-    );
-    assert_eq!(on.task_retries, off.task_retries, "{label}: task retries");
-    assert_eq!(on.jobs_failed, off.jobs_failed, "{label}: failed jobs");
-    assert_eq!(
-        on.nodes_quarantined, off.nodes_quarantined,
-        "{label}: quarantines"
-    );
-    assert_eq!(
-        on.false_quarantines, off.false_quarantines,
-        "{label}: false quarantines"
-    );
-    assert_eq!(
-        on.quarantine_latency_secs, off.quarantine_latency_secs,
-        "{label}: quarantine latency"
-    );
-    assert_eq!(
-        on.probes_launched, off.probes_launched,
-        "{label}: probation probes"
-    );
-    assert_eq!(
-        on.partition_episodes, off.partition_episodes,
-        "{label}: partition episodes"
-    );
-    assert_eq!(
-        on.partition_finishes_deferred, off.partition_finishes_deferred,
-        "{label}: deferred minority finishes"
-    );
-    assert_eq!(
-        on.partition_finishes_fenced, off.partition_finishes_fenced,
-        "{label}: fenced minority finishes"
-    );
-    assert_eq!(
-        on.partition_work_discarded, off.partition_work_discarded,
-        "{label}: minority work discarded"
-    );
-    assert_eq!(
-        on.partition_reconverge_secs, off.partition_reconverge_secs,
-        "{label}: reconvergence times"
-    );
-    assert_eq!(
-        on.replicas_corrupted, off.replicas_corrupted,
-        "{label}: corrupted replicas"
-    );
-    assert_eq!(
-        on.corrupt_reads_detected, off.corrupt_reads_detected,
-        "{label}: corrupt reads detected"
-    );
-    assert_eq!(
-        on.scrub_detections, off.scrub_detections,
-        "{label}: scrub detections"
-    );
-    assert_eq!(
-        on.corruption_detection_secs, off.corruption_detection_secs,
-        "{label}: corruption detection latency"
-    );
-    assert_eq!(
-        on.replicas_repaired, off.replicas_repaired,
-        "{label}: replicas repaired"
-    );
-    assert_eq!(
-        on.blocks_unavailable, off.blocks_unavailable,
-        "{label}: blocks tombstoned"
-    );
-    assert_eq!(
-        on.blocks_recovered, off.blocks_recovered,
-        "{label}: tombstones lifted"
-    );
-    assert_eq!(
-        on.blocks_at_risk, off.blocks_at_risk,
-        "{label}: at-risk blocks"
-    );
-    assert_eq!(
-        on.blocks_permanently_lost, off.blocks_permanently_lost,
-        "{label}: permanently lost blocks"
-    );
-    assert_eq!(
-        on.jobs_failed_unavailable, off.jobs_failed_unavailable,
-        "{label}: unavailability job failures"
-    );
     // The scan-everything path never skips.
     assert_eq!(off.rounds_skipped, 0, "{label}: reference path skipped");
+    let mut on = on.clone();
+    on.adopt_host_measurements(off);
+    on.rounds_skipped = 0;
+    assert_eq!(
+        on, *off,
+        "{label}: incremental run diverged from the reference path"
+    );
 }
 
 fn run_pair(cfg: SimConfig, label: &str) {
