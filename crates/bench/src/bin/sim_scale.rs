@@ -25,8 +25,10 @@
 //! * `--full` — adds the 100k × 64 cell (several minutes).
 //! * `--check` — CI smoke: one 2k × 16 cell plus the 10k microbench,
 //!   compared against `crates/bench/scale_baseline.json`; exits
-//!   non-zero if any budgeted number regresses more than 5%, or if the
-//!   custody-vs-reference speedup falls below 5×. Writes no JSON.
+//!   non-zero if any budgeted number regresses more than 5%, if the
+//!   custody-vs-reference speedup falls below 5×, or if a deterministic
+//!   work counter (views built, executors scanned) differs from its
+//!   baseline value at all. Writes no JSON.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -72,7 +74,7 @@ fn run_cell(nodes: usize, apps: usize, jobs_per_app: usize) -> Cell {
     println!(
         "{nodes:>6} nodes x {apps:>2} apps: {:>7.2} s wall  {:>8} events  \
          {:>6} rounds ({:>9.1} us/round)  alloc {:>7.1} ms  pop {:>6.1} ms  \
-         demand {:>6.1} ms  rss {:>7.1} MiB",
+         demand {:>6.1} ms  rss {:>7.1} MiB  {:>5} views  {:>9} scanned",
         elapsed_secs,
         m.events_processed,
         m.allocation_rounds,
@@ -81,6 +83,8 @@ fn run_cell(nodes: usize, apps: usize, jobs_per_app: usize) -> Cell {
         m.event_pop_wall_secs * 1e3,
         m.demand_wall_secs * 1e3,
         m.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+        m.views_built,
+        m.executors_scanned,
     );
     assert_eq!(
         m.jobs_completed,
@@ -215,7 +219,8 @@ fn write_json(cells: &[Cell], micro: &[MicroBench], mode: &str) {
             out,
             "    {{ \"nodes\": {}, \"apps\": {}, \"jobs_per_app\": {}, \
              \"elapsed_secs\": {:.3}, \"events\": {}, \"allocation_rounds\": {}, \
-             \"rounds_skipped\": {}, \"phases\": {{ \
+             \"rounds_skipped\": {}, \"views_built\": {}, \"executors_scanned\": {}, \
+             \"phases\": {{ \
              \"allocator_wall_secs\": {:.4}, \"allocator_us_per_round\": {:.1}, \
              \"event_pop_wall_secs\": {:.4}, \"demand_wall_secs\": {:.4}, \
              \"other_wall_secs\": {:.4} }}, \"peak_rss_bytes\": {} }}{}",
@@ -226,6 +231,8 @@ fn write_json(cells: &[Cell], micro: &[MicroBench], mode: &str) {
             m.events_processed,
             m.allocation_rounds,
             m.rounds_skipped,
+            m.views_built,
+            m.executors_scanned,
             m.allocator_wall_secs,
             m.allocator_wall_secs * 1e6 / m.allocation_rounds.max(1) as f64,
             m.event_pop_wall_secs,
@@ -325,8 +332,25 @@ fn check(micro: &MicroBench) {
         micro.cost_slowdown(),
         json_number(baseline, "max_cost_round_slowdown"),
     );
+    // Work counters are deterministic: any difference is a change in what
+    // the dispatch loop does, so they must match exactly.
+    for (label, measured) in [
+        ("views_built", m.views_built),
+        ("executors_scanned", m.executors_scanned),
+    ] {
+        let expected = json_number(baseline, label) as usize;
+        let verdict = if measured == expected {
+            "ok"
+        } else {
+            "CHANGED"
+        };
+        println!("  {label}: {measured} vs baseline {expected} (exact) {verdict}");
+        failed |= measured != expected;
+    }
     if failed {
-        eprintln!("scale-smoke FAILED: a budget regressed by more than 5%");
+        eprintln!(
+            "scale-smoke FAILED: a budget regressed by more than 5% or a work counter changed"
+        );
         std::process::exit(1);
     }
     println!("scale-smoke passed");

@@ -339,6 +339,10 @@ fn main() {
         m.rounds_skipped,
     );
     println!(
+        "dispatch: {} views built  {} executors scanned",
+        m.views_built, m.executors_scanned,
+    );
+    println!(
         "host: event-pop {:.3} ms wall  demand maintenance {:.3} ms wall  peak RSS {:.1} MiB",
         m.event_pop_wall_secs * 1e3,
         m.demand_wall_secs * 1e3,

@@ -195,6 +195,14 @@ pub trait ExecutorAllocator {
     /// partitions, offer cursors). Master checkpointing snapshots the
     /// allocator so a recovered master replays identical grants.
     fn clone_box(&self) -> Box<dyn ExecutorAllocator>;
+
+    /// The state carried from one round into later decisions (offer
+    /// cursors, static partitions), flattened to integers so master
+    /// recovery can check that a replayed allocator converged. Empty for
+    /// allocators whose decisions depend on the view alone.
+    fn decision_state(&self) -> Vec<u64> {
+        Vec::new()
+    }
 }
 
 impl Clone for Box<dyn ExecutorAllocator> {

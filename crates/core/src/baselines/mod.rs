@@ -161,6 +161,10 @@ impl ExecutorAllocator for StaticSpreadAllocator {
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
         Box::new(self.clone())
     }
+
+    fn decision_state(&self) -> Vec<u64> {
+        owner_table_state(self.owner.as_ref())
+    }
 }
 
 /// Spark standalone without spreading: static uniform-random partition.
@@ -191,6 +195,23 @@ impl ExecutorAllocator for StaticRandomAllocator {
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
         Box::new(self.clone())
     }
+
+    fn decision_state(&self) -> Vec<u64> {
+        owner_table_state(self.owner.as_ref())
+    }
+}
+
+/// A static partition as `[len, executor, app, executor, app, ...]`, in
+/// executor order; empty before the first round draws it.
+fn owner_table_state(owner: Option<&BTreeMap<ExecutorId, AppId>>) -> Vec<u64> {
+    let Some(owner) = owner else {
+        return Vec::new();
+    };
+    let mut out = vec![owner.len() as u64];
+    for (e, a) in owner {
+        out.extend([e.index() as u64, a.index() as u64]);
+    }
+    out
 }
 
 /// Mesos-style data-unaware dynamic offers: each idle executor is offered
@@ -242,6 +263,10 @@ impl ExecutorAllocator for DynamicOfferAllocator {
 
     fn clone_box(&self) -> Box<dyn ExecutorAllocator> {
         Box::new(self.clone())
+    }
+
+    fn decision_state(&self) -> Vec<u64> {
+        vec![self.cursor as u64]
     }
 }
 

@@ -178,6 +178,22 @@ impl TaskScheduler for DelayScheduler {
     fn clone_box(&self) -> Box<dyn TaskScheduler> {
         Box::new(self.clone())
     }
+
+    /// Every locality set's clock as `[job, stage, clock start (µs),
+    /// allow-any]`, in set order.
+    fn decision_state(&self) -> Vec<u64> {
+        self.sets
+            .iter()
+            .flat_map(|(&(job, stage), set)| {
+                [
+                    job.index() as u64,
+                    stage as u64,
+                    set.clock_start.as_micros(),
+                    u64::from(set.allow_any),
+                ]
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -107,6 +107,14 @@ pub trait TaskScheduler {
     /// checkpointing snapshots each application's scheduler so replayed
     /// offers reproduce the exact same placements.
     fn clone_box(&self) -> Box<dyn TaskScheduler>;
+
+    /// The state carried from one offer into later ones (delay
+    /// scheduling's per-set locality clocks), flattened to integers so
+    /// master recovery can check that a replayed scheduler converged.
+    /// Empty for schedulers whose offers depend on their inputs alone.
+    fn decision_state(&self) -> Vec<u64> {
+        Vec::new()
+    }
 }
 
 impl Clone for Box<dyn TaskScheduler> {

@@ -83,6 +83,10 @@ pub(crate) struct DemandCache {
     /// job indices are assigned in submission order), so view assembly
     /// walks only jobs that actually want executors.
     active: Vec<Vec<usize>>,
+    /// Per-app sum of `pending_tasks` over the app's active jobs, kept in
+    /// step with `active` so the driver can rule out demand in O(apps)
+    /// before it builds a view.
+    pending: Vec<usize>,
     /// Jobs whose input stage reads each block, indexed by raw block id.
     /// Registered once at submission (input blocks never change), so
     /// replica churn on a block dirties exactly its readers.
@@ -103,6 +107,7 @@ impl DemandCache {
             dirty: Vec::new(),
             dirty_list: Vec::new(),
             active: vec![Vec::new(); num_apps],
+            pending: vec![0; num_apps],
             watchers: Vec::new(),
             all_executors: None,
             demand_changed: true,
@@ -187,7 +192,8 @@ impl DemandCache {
             self.dirty[j] = false;
             let job = &jobs[j];
             let fresh = job_demand_of(job);
-            let list = &mut self.active[job.app.index()];
+            let app = job.app.index();
+            let list = &mut self.active[app];
             match (list.binary_search(&j), fresh.is_some()) {
                 (Err(pos), true) => list.insert(pos, j),
                 (Ok(pos), false) => {
@@ -195,9 +201,18 @@ impl DemandCache {
                 }
                 _ => {}
             }
+            let pending = |d: &Option<JobDemand>| d.as_ref().map_or(0, |d| d.pending_tasks);
+            self.pending[app] = self.pending[app] - pending(&self.demand[j]) + pending(&fresh);
             self.demand[j] = fresh;
         }
         self.dirty_list = dirty_list;
+    }
+
+    /// The app's pending tasks summed over its live jobs — the
+    /// uncapped half of [`AppState::outstanding_demand`](custody_core::AppState).
+    /// Call [`refresh`](Self::refresh) first.
+    pub fn pending_tasks(&self, app_idx: usize) -> usize {
+        self.pending[app_idx]
     }
 
     /// The app's live job demands, in submission order. Call
@@ -239,11 +254,24 @@ impl DemandCache {
                 "active list out of sync for job {j}"
             );
         }
+        for (app, list) in self.active.iter().enumerate() {
+            let sum: usize = list
+                .iter()
+                .filter_map(|&j| self.demand[j].as_ref())
+                .map(|d| d.pending_tasks)
+                .sum();
+            assert_eq!(
+                self.pending[app], sum,
+                "pending-task sum out of sync for app {app}"
+            );
+        }
     }
 
-    /// The full executor list, recomputed only after an invalidation.
-    pub fn all_executors(&mut self, cluster: &ClusterState) -> &[ExecutorInfo] {
-        self.all_executors.get_or_insert_with(|| {
+    /// Lends out the full executor list — recomputed only after an
+    /// invalidation — for one allocation view, without copying it. Hand it
+    /// back with [`return_executors`](Self::return_executors).
+    pub fn lend_executors(&mut self, cluster: &ClusterState) -> Vec<ExecutorInfo> {
+        self.all_executors.take().unwrap_or_else(|| {
             cluster
                 .executors()
                 .iter()
@@ -253,5 +281,10 @@ impl DemandCache {
                 })
                 .collect()
         })
+    }
+
+    /// Takes back the list [`lend_executors`](Self::lend_executors) lent.
+    pub fn return_executors(&mut self, list: Vec<ExecutorInfo>) {
+        self.all_executors = Some(list);
     }
 }

@@ -68,11 +68,13 @@ mod detector;
 mod durability;
 mod health;
 mod partition;
+mod pool;
 
 use detector::{DeadlineKind, DetectorState, HbChannel};
 use durability::DurabilityLayer;
 use health::HealthLayer;
 use partition::PartitionLayer;
+use pool::IdlePool;
 
 /// Entry point: runs a configuration to completion.
 pub struct Simulation;
@@ -294,10 +296,9 @@ struct Driver {
     apps: Vec<AppRuntime>,
     jobs: Vec<RuntimeJob>,
     exec_state: Vec<ExecState>,
-    /// Idle, unowned executors, as a bitset keyed by
-    /// `ExecutorId::index()` (ascending iteration, so allocator views are
-    /// built in the same order the old tree set produced).
-    pool: DenseSet,
+    /// Idle, unowned executors, plus the view's idle list kept across
+    /// rounds (incremental engine).
+    pool: IdlePool,
     alloc_rng: SimRng,
     fail_rng: SimRng,
     noise: TruncatedNormal,
@@ -388,6 +389,14 @@ struct Driver {
     cache: DemandCache,
     /// Outcome of the previous allocation round.
     last_round: LastRound,
+    /// Executors that may sit idle while their owner still holds them:
+    /// every grant and every site that frees a held executor's slot
+    /// (`on_finish`, `fail_job`, ghost reaping, lost-dispatch rollback)
+    /// pushes here. Stale and duplicate entries are allowed; the release
+    /// pass filters them on `owner`/`running`/`dead` and empties the list,
+    /// so during the offer pass it holds exactly this round's grants.
+    /// The auditor checks that no idle held executor is missing.
+    release_candidates: Vec<ExecutorId>,
     /// Reused buffer for collecting idle held executors per app
     /// (release + offer passes), avoiding a fresh Vec per app per pass.
     idle_scratch: Vec<ExecutorId>,
@@ -632,7 +641,7 @@ impl Driver {
         Driver {
             queue,
             exec_state: vec![ExecState::default(); cluster.num_executors()],
-            pool: (0..cluster.num_executors()).collect(),
+            pool: IdlePool::full(cluster.num_executors(), config.incremental),
             namenode,
             cluster,
             allocator: config.allocator.build(),
@@ -677,6 +686,7 @@ impl Driver {
             incremental: config.incremental,
             cache: DemandCache::new(campaign.num_apps()),
             last_round: LastRound::None,
+            release_candidates: Vec::new(),
             idle_scratch: Vec::new(),
             runnable_scratch: Vec::new(),
             affected_scratch: Vec::new(),
@@ -882,6 +892,7 @@ impl Driver {
             panic!("finish on idle executor"); // lint: allow(panic) — driver invariant: Finish events target executors with a running task
         };
         state.idle_since = now;
+        self.release_candidates.push(executor);
         if running.remote_input {
             self.remote_reads_in_flight = self
                 .remote_reads_in_flight
@@ -1153,6 +1164,7 @@ impl Driver {
             st.running = None;
             st.epoch += 1; // fence the attempt's in-flight Finish
             st.idle_since = now;
+            self.release_candidates.push(ExecutorId::new(e));
             if r.remote_input {
                 self.remote_reads_in_flight = self
                     .remote_reads_in_flight
@@ -1250,7 +1262,7 @@ impl Driver {
 
         self.kill_executors_on(node, now);
         self.refresh_all_preferred();
-        self.cache.invalidate_executors();
+        self.invalidate_executors();
         self.cache.mark_pool_changed();
     }
 
@@ -1317,7 +1329,7 @@ impl Driver {
             return;
         }
         self.kill_executors_on(node, now);
-        self.cache.invalidate_executors();
+        self.invalidate_executors();
         self.cache.mark_pool_changed();
     }
 
@@ -1439,34 +1451,46 @@ impl Driver {
     /// track of all the idle executors and dynamically allocate executors
     /// once new jobs are submitted". Static allocators re-grant released
     /// executors to their fixed owners, so their semantics are unchanged.
-    fn release_idle_executors(&mut self) -> usize {
-        let mut released = 0;
+    ///
+    /// The incremental engine walks only the release candidates; the
+    /// reference path scans every application's `held` set. Releases
+    /// commute (set and map updates), so the walk order is free.
+    fn release_idle_executors(&mut self) {
+        let mut candidates = std::mem::take(&mut self.release_candidates);
         let mut idle = std::mem::take(&mut self.idle_scratch);
-        for i in 0..self.apps.len() {
-            idle.clear();
-            idle.extend(
-                self.apps[i]
-                    .held
-                    .iter()
-                    .map(ExecutorId::new)
-                    .filter(|e| self.exec_state[e.index()].running.is_none()),
-            );
-            for &e in &idle {
-                self.apps[i].held.remove(e.index());
-                self.exec_state[e.index()].owner = None;
-                self.pool.insert(e.index());
-                if let Some(d) = &mut self.detector {
-                    d.leases.drop_lease(e); // released before expiry
-                }
-                released += 1;
+        idle.clear();
+        let exec_state = &self.exec_state;
+        let idle_held = |e: &ExecutorId| {
+            let st = &exec_state[e.index()];
+            st.owner.is_some() && st.running.is_none() && !st.dead
+        };
+        if self.incremental {
+            self.metrics.executors_scanned += candidates.len();
+            candidates.sort_unstable();
+            candidates.dedup();
+            idle.extend(candidates.iter().copied().filter(idle_held));
+        } else {
+            for a in &self.apps {
+                self.metrics.executors_scanned += a.held.len();
+                idle.extend(a.held.iter().map(ExecutorId::new).filter(idle_held));
             }
+        }
+        candidates.clear();
+        self.release_candidates = candidates;
+        for &e in &idle {
+            if let Some(owner) = self.exec_state[e.index()].owner.take() {
+                self.apps[owner.index()].held.remove(e.index());
+            }
+            self.pool.insert(e.index());
+            if let Some(d) = &mut self.detector {
+                d.leases.drop_lease(e); // released before expiry
+            }
+        }
+        if !idle.is_empty() {
+            self.cache.mark_pool_changed();
         }
         idle.clear();
         self.idle_scratch = idle;
-        if released > 0 {
-            self.cache.mark_pool_changed();
-        }
-        released
     }
 
     /// Step 2: one allocation round through the cluster manager.
@@ -1478,10 +1502,14 @@ impl Driver {
     /// first call, `DynamicOffer` advances its cursor only on grants), so
     /// re-running it would grant nothing again. The skip replays the
     /// previous round's counting so metrics stay bit-identical.
-    fn allocation_round(&mut self, now: SimTime) -> usize {
+    ///
+    /// A round that does run first rules out "no demand" from the cached
+    /// per-app pending counts — O(apps) — and builds a view only when some
+    /// application wants an executor.
+    fn allocation_round(&mut self, now: SimTime) {
         if self.pool.is_empty() {
             self.last_round = LastRound::EmptyPool;
-            return 0;
+            return;
         }
         if self.incremental && self.cache.is_quiescent() {
             match self.last_round {
@@ -1490,13 +1518,13 @@ impl Driver {
                 LastRound::Counted(0) => {
                     self.metrics.allocation_rounds += 1;
                     self.metrics.rounds_skipped += 1;
-                    return 0;
+                    return;
                 }
                 // Same pool, still nothing wanted: the early return would
                 // fire again without reaching the allocator.
                 LastRound::NoDemand => {
                     self.metrics.rounds_skipped += 1;
-                    return 0;
+                    return;
                 }
                 // A granting round dirties the pool and `EmptyPool` with a
                 // now non-empty pool implies a pool change, so these are
@@ -1506,12 +1534,39 @@ impl Driver {
         }
         let started = std::time::Instant::now();
         self.cache.begin_round();
-        let view = self.build_view();
-        if view.total_demand() == 0 {
-            self.metrics.allocator_wall_secs += started.elapsed().as_secs_f64();
-            self.last_round = LastRound::NoDemand;
-            return 0;
-        }
+        let demand = if self.incremental {
+            let refresh_started = std::time::Instant::now();
+            self.cache.refresh(&self.jobs);
+            self.metrics.demand_wall_secs += refresh_started.elapsed().as_secs_f64();
+            // Exactly `total_demand()` of the view `build_view` would make.
+            self.apps
+                .iter()
+                .enumerate()
+                .map(|(i, a)| {
+                    let headroom = a.quota.saturating_sub(a.held.len());
+                    self.cache.pending_tasks(i).min(headroom)
+                })
+                .sum()
+        } else {
+            usize::MAX
+        };
+        let view = (demand > 0).then(|| self.build_view());
+        debug_assert!(
+            !self.incremental || view.as_ref().map_or(0, AllocationView::total_demand) == demand,
+            "cached pending counts disagree with the view's demand"
+        );
+        let view = match view {
+            Some(v) if v.total_demand() > 0 => v,
+            unused => {
+                // The reference path finds "no demand" only in the full view.
+                if let Some(v) = unused {
+                    self.reclaim_view(v);
+                }
+                self.metrics.allocator_wall_secs += started.elapsed().as_secs_f64();
+                self.last_round = LastRound::NoDemand;
+                return;
+            }
+        };
         self.metrics.allocation_rounds += 1;
         if let Some(h) = &self.health {
             if h.cfg.detection && h.cfg.demotion {
@@ -1533,16 +1588,18 @@ impl Driver {
             }
         }
         let assignments = self.allocator.allocate(&view, &mut self.alloc_rng);
-        self.metrics.allocator_wall_secs += started.elapsed().as_secs_f64();
         if cfg!(debug_assertions) {
             custody_core::allocator::validate_assignments(&view, &assignments);
         }
+        self.reclaim_view(view);
+        self.metrics.allocator_wall_secs += started.elapsed().as_secs_f64();
         let granted = assignments.len();
         for a in assignments {
             let removed = self.pool.remove(a.executor.index());
             assert!(removed, "allocator granted non-pooled executor");
             self.exec_state[a.executor.index()].owner = Some(a.app);
             self.apps[a.app.index()].held.insert(a.executor.index());
+            self.release_candidates.push(a.executor);
             if let Some(d) = &mut self.detector {
                 // Every grant is a time-bounded lease; the host node's
                 // heartbeats renew it, silence revokes it.
@@ -1558,30 +1615,34 @@ impl Driver {
             self.cache.mark_pool_changed();
         }
         self.last_round = LastRound::Counted(granted);
-        granted
     }
 
+    /// Materialises the allocator's view. The incremental engine lends
+    /// its cached executor list and demand records (refreshed by the
+    /// caller); the reference path rebuilds everything from scratch.
     fn build_view(&mut self) -> AllocationView {
-        if self.incremental {
-            let started = std::time::Instant::now();
-            self.cache.refresh(&self.jobs);
-            self.metrics.demand_wall_secs += started.elapsed().as_secs_f64();
-        }
+        self.metrics.views_built += 1;
         // Quarantined nodes' executors stay pooled but invisible: the
         // allocator can only grant what the view offers, so nothing is
         // ever placed on a node the health detector has excluded.
-        let idle: Vec<ExecutorInfo> = self
+        let (cluster, health) = (&self.cluster, self.health.as_ref());
+        let listed = |id: ExecutorId| {
+            let node = cluster.node_of(id);
+            health::schedulable(health, node).then_some(ExecutorInfo { id, node })
+        };
+        let idle = self
             .pool
-            .iter()
-            .map(ExecutorId::new)
-            .map(|id| ExecutorInfo {
-                id,
-                node: self.cluster.node_of(id),
-            })
-            .filter(|info| self.node_schedulable(info.node))
-            .collect();
+            .lend_view(listed, &mut self.metrics.executors_scanned);
+        if self.audit_enabled && self.incremental {
+            let rebuilt: Vec<ExecutorInfo> = self
+                .pool
+                .iter()
+                .filter_map(|e| listed(ExecutorId::new(e)))
+                .collect();
+            assert_eq!(idle, rebuilt, "kept idle list diverged from the pool");
+        }
         let all_executors: Vec<ExecutorInfo> = if self.incremental {
-            self.cache.all_executors(&self.cluster).to_vec()
+            self.cache.lend_executors(&self.cluster)
         } else {
             self.cluster
                 .executors()
@@ -1627,23 +1688,69 @@ impl Driver {
         }
     }
 
+    /// Takes back what [`build_view`](Self::build_view) lent the view.
+    fn reclaim_view(&mut self, view: AllocationView) {
+        if self.incremental {
+            self.cache.return_executors(view.all_executors);
+            self.pool.return_view(view.idle);
+        }
+    }
+
+    /// The executor set changed (a machine failed, recovered or was
+    /// reinstated): drop the cached executor list and the kept idle list.
+    fn invalidate_executors(&mut self) {
+        self.cache.invalidate_executors();
+        self.pool.invalidate_view();
+    }
+
+    /// Collects app `i`'s idle held executors into `out`, ascending. The
+    /// release pass emptied every held set of idle executors, so the
+    /// incremental engine finds them among this round's grants, which
+    /// `grants` holds sorted by owner from index `*at` on; the reference
+    /// path scans the app's whole `held` set.
+    fn idle_held(
+        &mut self,
+        i: usize,
+        grants: &[ExecutorId],
+        at: &mut usize,
+        out: &mut Vec<ExecutorId>,
+    ) {
+        out.clear();
+        let exec_state = &self.exec_state;
+        let idle = |e: &ExecutorId| exec_state[e.index()].running.is_none();
+        if self.incremental {
+            let from = *at;
+            let app = Some(AppId::new(i));
+            while *at < grants.len() && exec_state[grants[*at].index()].owner == app {
+                *at += 1;
+            }
+            self.metrics.executors_scanned += *at - from;
+            out.extend(grants[from..*at].iter().copied().filter(idle));
+        } else {
+            let held = &self.apps[i].held;
+            self.metrics.executors_scanned += held.len();
+            out.extend(held.iter().map(ExecutorId::new).filter(idle));
+        }
+    }
+
     /// Step 3: offer idle held executors to their applications' task
-    /// schedulers. Returns `(tasks launched, earliest decline retry)`.
+    /// schedulers, apps ascending and executors ascending, pass after pass
+    /// until one launches nothing. Returns `(tasks launched, earliest
+    /// decline retry)`.
     fn offer_pass(&mut self, now: SimTime) -> (usize, Option<SimDuration>) {
         let mut launched_total = 0;
         let mut min_retry: Option<SimDuration> = None;
         let mut idle = std::mem::take(&mut self.idle_scratch);
+        // Right after the release pass and the allocation round, the
+        // release candidates are exactly this round's grants.
+        let mut grants = std::mem::take(&mut self.release_candidates);
+        let exec_state = &self.exec_state;
+        grants.sort_unstable_by_key(|e| (exec_state[e.index()].owner, *e));
         loop {
             let mut launched_this_pass = 0;
+            let mut at = 0;
             for i in 0..self.apps.len() {
-                idle.clear();
-                idle.extend(
-                    self.apps[i]
-                        .held
-                        .iter()
-                        .map(ExecutorId::new)
-                        .filter(|e| self.exec_state[e.index()].running.is_none()),
-                );
+                self.idle_held(i, &grants, &mut at, &mut idle);
                 for &e in &idle {
                     let mut runnable = std::mem::take(&mut self.runnable_scratch);
                     self.runnable_tasks(i, now, &mut runnable);
@@ -1689,6 +1796,9 @@ impl Driver {
             if launched_this_pass == 0 {
                 idle.clear();
                 self.idle_scratch = idle;
+                // Unlaunched grants stay idle and held: they remain
+                // candidates for the next release pass.
+                self.release_candidates = grants;
                 return (launched_total, min_retry);
             }
         }

@@ -70,6 +70,11 @@
 //!     detections; clone races never exceed clones, recoveries never
 //!     exceed faults, and no stale completion slipped past epoch
 //!     fencing. `finish()` re-checks these at the end of every run.
+//! 16. **Dispatch coverage** — every live, owned executor that runs
+//!     nothing is on the release candidate list, so the next release
+//!     pass reaches it without scanning any `held` set. This is what
+//!     catches a site that frees a held executor's slot without pushing
+//!     it.
 
 use custody_cluster::HealthState;
 
@@ -114,6 +119,22 @@ impl Driver {
         self.audit_partition();
         self.audit_durability();
         self.check_counters();
+        self.audit_dispatch();
+    }
+
+    /// Invariant 16: dispatch coverage — no idle held executor is missing
+    /// from the release candidates.
+    fn audit_dispatch(&self) {
+        let candidates: custody_simcore::DenseSet =
+            self.release_candidates.iter().map(|e| e.index()).collect();
+        for (e, st) in self.exec_state.iter().enumerate() {
+            if st.owner.is_some() && st.running.is_none() && !st.dead {
+                assert!(
+                    candidates.contains(e),
+                    "idle held executor {e} is missing from the release candidates"
+                );
+            }
+        }
     }
 
     /// Invariant 15: the counter ledger's own relations, stated against

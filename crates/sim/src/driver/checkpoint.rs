@@ -143,6 +143,12 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
     check!(repair_armed);
     check!(open_disruptions);
     check!(cache);
+    check!(release_candidates);
+    assert_eq!(
+        live.allocator.decision_state(),
+        ghost.allocator.decision_state(),
+        "master recovery diverged on the allocator's decision state"
+    );
     // The whole counter ledger, less what recovery carries over from the
     // crashed state: host measurements and the recovery counter.
     let mut replayed = ghost.metrics.clone();
@@ -153,7 +159,8 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
         "master recovery diverged on the counter ledger"
     );
     // Per-application allocation state: job lists, quotas, held sets, the
-    // locality accounting the allocator reads, and the per-app metrics.
+    // locality accounting the allocator reads, the task scheduler's
+    // decision state, and the per-app metrics.
     let apps = |d: &Driver| {
         d.apps
             .iter()
@@ -164,6 +171,7 @@ fn assert_converged(live: &Driver, ghost: &Driver) {
                     a.quota,
                     a.held.clone(),
                     locality,
+                    a.scheduler.decision_state(),
                     a.metrics.clone(),
                 )
             })
@@ -211,5 +219,52 @@ mod tests {
         // Recovery carries these over from the crashed state.
         assert!(!diverges(&live, |g| g.metrics.master_recoveries += 1));
         assert!(!diverges(&live, |g| g.metrics.allocator_wall_secs += 1.0));
+    }
+
+    /// A driver that handled the first `n` events of `cfg`'s run.
+    fn pumped(cfg: &SimConfig, n: usize) -> Driver {
+        let mut d = Driver::new(cfg);
+        for _ in 0..n {
+            let Some(ev) = d.queue.pop() else { break };
+            d.handle_event(ev.event, ev.time);
+        }
+        d
+    }
+
+    #[test]
+    fn convergence_check_covers_dispatch_and_decision_state() {
+        use custody_cluster::ExecutorId;
+        use custody_core::AllocatorKind;
+        for kind in [
+            AllocatorKind::DynamicOffer,
+            AllocatorKind::StaticSpread,
+            AllocatorKind::StaticRandom,
+        ] {
+            let cfg = SimConfig::small_demo(5).with_allocator(kind);
+            let live = pumped(&cfg, 40);
+            let fresh = cfg.allocator.build();
+            assert_ne!(
+                live.allocator.decision_state(),
+                fresh.decision_state(),
+                "{kind}: the run left no allocator state to perturb"
+            );
+            assert!(diverges(&live, |g| g.allocator = fresh), "{kind}");
+        }
+        let cfg = SimConfig::small_demo(5);
+        let live = pumped(&cfg, 40);
+        assert!(!diverges(&live, |_| {}));
+        let app = live
+            .apps
+            .iter()
+            .position(|a| !a.scheduler.decision_state().is_empty())
+            .expect("some delay scheduler kept a locality clock");
+        assert!(diverges(&live, |g| {
+            g.apps[app].scheduler = cfg.scheduler.build();
+        }));
+        assert!(diverges(&live, |g| {
+            g.release_candidates.push(ExecutorId::new(0));
+        }));
+        // The kept idle view the next allocation view is patched from.
+        assert!(diverges(&live, |g| g.pool.invalidate_view()));
     }
 }

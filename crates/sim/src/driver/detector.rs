@@ -278,7 +278,7 @@ impl Driver {
         }
         if reinstated {
             self.cache.mark_pool_changed();
-            self.cache.invalidate_executors();
+            self.invalidate_executors();
         }
         // Ghost reaping: a running attempt whose launch epoch no longer
         // matches belongs to an incarnation that restarted underneath the
@@ -297,6 +297,7 @@ impl Driver {
             }
             st.running = None;
             st.idle_since = now;
+            self.release_candidates.push(e);
             if r.remote_input {
                 self.remote_reads_in_flight = self
                     .remote_reads_in_flight
@@ -409,7 +410,7 @@ impl Driver {
         let executors: Vec<ExecutorId> = self.cluster.executors_on(node).to_vec();
         self.note_minority_discards(&executors);
         self.kill_executors_on(node, now);
-        self.cache.invalidate_executors();
+        self.invalidate_executors();
         self.cache.mark_pool_changed();
     }
 
@@ -471,7 +472,7 @@ impl Driver {
             self.open_disruptions.push((now, displaced));
         }
         if !expired.is_empty() {
-            self.cache.invalidate_executors();
+            self.invalidate_executors();
             self.cache.mark_pool_changed();
         }
         let d = self.detector.as_mut().expect("checked above"); // lint: allow(panic) — guarded by the enclosing branch

@@ -369,6 +369,7 @@ impl Driver {
         // what got the node quarantined and must not retry the verdict.
         b.samples.clear();
         self.cache.mark_pool_changed();
+        self.pool.invalidate_view();
         self.refresh_health_cost(node);
     }
 
@@ -474,6 +475,7 @@ impl Driver {
         );
         b.state = next;
         self.cache.mark_pool_changed();
+        self.pool.invalidate_view();
     }
 
     /// Quarantines `node` unless doing so would leave half the cluster or
@@ -525,24 +527,6 @@ impl Driver {
             .schedule(now + delay, Event::ProbationStart { node });
     }
 
-    /// Whether the detector currently allows placement on `node`.
-    /// Quarantine excludes outright; probation admits only up to the
-    /// configured probe count — a still-slow node is re-judged on a few
-    /// sacrificial tasks, not a fresh batch of real work.
-    pub(super) fn node_schedulable(&self, node: NodeId) -> bool {
-        match &self.health {
-            Some(h) if h.cfg.detection => {
-                let b = &h.belief[node.index()];
-                match b.state {
-                    HealthState::Quarantined => false,
-                    HealthState::Probation => b.probes_started < h.cfg.probation_probes,
-                    HealthState::Healthy | HealthState::Suspect => true,
-                }
-            }
-            _ => true,
-        }
-    }
-
     /// Counts a launch on a probation node as a probe, and asserts the
     /// quarantine exclusion held (the auditor's launch-time invariant).
     pub(super) fn note_health_launch(&mut self, node: NodeId) {
@@ -565,8 +549,28 @@ impl Driver {
                 // The node just stopped accepting placements; the cached
                 // idle view must not replay it as available.
                 self.cache.mark_pool_changed();
+                self.pool.invalidate_view();
             }
         }
+    }
+}
+
+/// Whether the detector currently allows placement on `node`, so that
+/// allocation views list its executors. Quarantine excludes outright;
+/// probation admits only up to the configured probe count — a still-slow
+/// node is re-judged on a few sacrificial tasks, not a fresh batch of
+/// real work. Always true without detection.
+pub(super) fn schedulable(health: Option<&HealthLayer>, node: NodeId) -> bool {
+    match health {
+        Some(h) if h.cfg.detection => {
+            let b = &h.belief[node.index()];
+            match b.state {
+                HealthState::Quarantined => false,
+                HealthState::Probation => b.probes_started < h.cfg.probation_probes,
+                HealthState::Healthy | HealthState::Suspect => true,
+            }
+        }
+        _ => true,
     }
 }
 

@@ -243,6 +243,7 @@ impl Driver {
                 continue;
             };
             st.idle_since = now;
+            self.release_candidates.push(e);
             if running.remote_input {
                 self.remote_reads_in_flight = self
                     .remote_reads_in_flight

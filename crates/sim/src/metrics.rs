@@ -88,6 +88,17 @@ pub struct RunMetrics {
     /// the idle pool nor any application's demand changed since the last
     /// zero-grant round (their outcome is replayed, not recomputed).
     pub rounds_skipped: usize,
+    /// Allocation views materialised. A round that finds no demand from
+    /// the cached per-app counts builds none, so this counts only the
+    /// rounds that needed the allocator's full input (deterministic, but
+    /// path-dependent: the reference path builds one per executed round).
+    pub views_built: usize,
+    /// Executor entries the release and offer passes visited, plus the
+    /// executors the views' idle lists examined (the whole pool on a
+    /// rebuild, only the changed executors on a patch) — the dispatch
+    /// loop's scanning work. Deterministic, but path-dependent like
+    /// `views_built`.
+    pub executors_scanned: usize,
     /// Cumulative wall-clock time spent building allocation views and
     /// running the allocator, in seconds. Real time, not simulated time —
     /// varies across machines and runs, so it is excluded from

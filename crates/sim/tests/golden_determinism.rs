@@ -5,7 +5,9 @@
 //! (default) and disabled (scan-everything reference path). Wall-clock
 //! fields are excluded: they measure the host machine, not the simulation.
 //! So is `rounds_skipped`, which counts the very skips the reference path
-//! never takes.
+//! never takes, and so are the dispatch work counters `views_built` and
+//! `executors_scanned`, which measure how much each path scanned rather
+//! than what it decided; the incremental path must never build more views.
 
 use custody_sim::{AllocatorKind, ChaosConfig, RunMetrics, SimConfig, Simulation, WorkloadKind};
 
@@ -13,9 +15,17 @@ use custody_sim::{AllocatorKind, ChaosConfig, RunMetrics, SimConfig, Simulation,
 fn assert_identical(on: &RunMetrics, off: &RunMetrics, label: &str) {
     // The scan-everything path never skips.
     assert_eq!(off.rounds_skipped, 0, "{label}: reference path skipped");
+    assert!(
+        on.views_built <= off.views_built,
+        "{label}: incremental path built {} views, reference {}",
+        on.views_built,
+        off.views_built
+    );
     let mut on = on.clone();
     on.adopt_host_measurements(off);
     on.rounds_skipped = 0;
+    on.views_built = off.views_built;
+    on.executors_scanned = off.executors_scanned;
     assert_eq!(
         on, *off,
         "{label}: incremental run diverged from the reference path"
